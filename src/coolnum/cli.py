@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 bad input or failed verification, 2 graph exceeds
-the solver cap, 3 disconnected input, 4 strategy/family mismatch, 5 unknown
-verification suite. All output is randomness-free; repeated runs with the
-same flags produce byte-identical output. The environment variable
-``COOLNUM_MAX_NODES`` overrides the default solver caps.
+Exit codes: 0 success, 1 bad input (usage errors included) or failed
+verification, 2 graph exceeds the solver cap, 3 disconnected input, 4
+strategy/family mismatch, 5 unknown verification suite, 6 the solver's time
+budget ran out. All output is randomness-free; repeated runs with the same
+flags produce byte-identical output. The environment variable
+``COOLNUM_MAX_NODES`` overrides the default solver caps, as it does for
+library calls.
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from .ilt import ilt_t
 from .solver import (
     GraphTooLargeError,
     SearchLimits,
+    TimeBudgetExceededError,
     burning_number,
     cooling_number,
-    default_burning_cap,
-    default_cooling_cap,
     max_sequence_length,
 )
 from .strategies import (
@@ -51,6 +52,7 @@ EXIT_OVER_LIMIT = 2
 EXIT_DISCONNECTED = 3
 EXIT_STRATEGY_MISMATCH = 4
 EXIT_UNKNOWN_SUITE = 5
+EXIT_OUT_OF_TIME = 6
 
 
 def _emit(obj: dict, as_json: bool, plain: str) -> None:
@@ -66,28 +68,30 @@ def _parse_base(spec: str):
     if not raw:
         raise GraphError(f"base spec {spec!r} must look like family:param (e.g. path:6)")
     n = int(raw)
-    builders = {"path": gen_path, "cycle": gen_cycle, "grid": gen_grid,
-                "caterpillar": gen_complete_caterpillar}
-    if family not in builders:
+    build, flags = FAMILIES.get(family, (None, ()))
+    if len(flags) != 1:
         raise GraphError(f"unknown base family {family!r}")
-    return builders[family](n)
+    return build(n)
+
+
+# gen family -> (builder, the flags it takes in argument order); the families
+# that take one flag also serve as ilt bases
+FAMILIES = {
+    "path": (gen_path, ("n",)),
+    "cycle": (gen_cycle, ("n",)),
+    "grid": (gen_grid, ("n",)),
+    "caterpillar": (gen_complete_caterpillar, ("d",)),
+    "spider": (gen_spider, ("legs", "r")),
+    "ilt": (lambda base, t: ilt_t(_parse_base(base), t).graph, ("base", "t")),
+}
 
 
 def cmd_gen(args) -> int:
-    if args.family == "path":
-        g = gen_path(args.n)
-    elif args.family == "cycle":
-        g = gen_cycle(args.n)
-    elif args.family == "grid":
-        g = gen_grid(args.n)
-    elif args.family == "caterpillar":
-        g = gen_complete_caterpillar(args.d)
-    elif args.family == "spider":
-        g = gen_spider(args.legs, args.r)
-    elif args.family == "ilt":
-        g = ilt_t(_parse_base(args.base), args.t).graph
-    else:  # pragma: no cover - argparse restricts choices
-        raise GraphError(f"unknown family {args.family}")
+    build, flags = FAMILIES[args.family]
+    missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
+    if missing:
+        raise GraphError(f"gen {args.family} needs {' and '.join(missing)}")
+    g = build(*(getattr(args, flag) for flag in flags))
     write_graph(g, args.out)
     if args.dot:
         export_dot(g, args.dot, grid_side=args.n if args.family == "grid" else None)
@@ -96,48 +100,28 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _limits(args) -> SearchLimits:
-    return SearchLimits(max_nodes=args.max_nodes, time_budget=args.time_budget)
+# solver command -> (solver, whether it takes the search flags --jobs,
+# --no-prune and --no-memo)
+SOLVERS = {
+    "exact": (cooling_number, True),
+    "seqlen": (max_sequence_length, True),
+    "burn": (burning_number, False),
+}
 
 
-def _run_solver(args, solve, value_name: str) -> int:
-    g = read_graph(args.graph_in)
-    result = solve(g)
+def cmd_solve(args) -> int:
+    solve, searches = SOLVERS[args.command]
+    search = {"prune": not args.no_prune, "use_memo": not args.no_memo,
+              "jobs": args.jobs} if searches else {}
+    result = solve(read_graph(args.graph_in),
+                   SearchLimits(args.max_nodes, args.time_budget), **search)
     if args.trace_out:
         write_trace(result.witness, args.trace_out)
-    _emit({"command": value_name, "value": result.value,
+    _emit({"command": args.command, "value": result.value,
            "rounds": result.witness.num_rounds,
            "sources": list(result.witness.sources)},
           args.json, str(result.value))
     return EXIT_OK
-
-
-def cmd_exact(args) -> int:
-    if args.max_nodes is None:
-        args.max_nodes = default_cooling_cap()
-    return _run_solver(
-        args,
-        lambda g: cooling_number(g, _limits(args), prune=not args.no_prune,
-                                 use_memo=not args.no_memo, jobs=args.jobs),
-        "exact",
-    )
-
-
-def cmd_seqlen(args) -> int:
-    if args.max_nodes is None:
-        args.max_nodes = default_cooling_cap()
-    return _run_solver(
-        args,
-        lambda g: max_sequence_length(g, _limits(args), prune=not args.no_prune,
-                                      use_memo=not args.no_memo, jobs=args.jobs),
-        "seqlen",
-    )
-
-
-def cmd_burn(args) -> int:
-    if args.max_nodes is None:
-        args.max_nodes = default_burning_cap()
-    return _run_solver(args, lambda g: burning_number(g, _limits(args)), "burn")
 
 
 def cmd_bounds(args) -> int:
@@ -217,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a family graph and write its JSON file")
-    p.add_argument("family", choices=["path", "cycle", "grid", "caterpillar", "spider", "ilt"])
+    p.add_argument("family", choices=list(FAMILIES))
     p.add_argument("--n", type=int, help="order parameter (path/cycle/grid, ilt-path strategy)")
     p.add_argument("--d", type=int, help="caterpillar length")
     p.add_argument("--legs", type=int, help="spider leg count")
@@ -229,17 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen)
 
-    for name, func in (("exact", cmd_exact), ("seqlen", cmd_seqlen), ("burn", cmd_burn)):
+    for name, (_, searches) in SOLVERS.items():
         p = sub.add_parser(name, help=f"compute {name} value for a graph file")
         p.add_argument("--in", dest="graph_in", required=True)
         p.add_argument("--trace-out", help="write the witness trace JSON here")
         p.add_argument("--max-nodes", type=int, default=None)
         p.add_argument("--time-budget", type=float, default=None)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--no-prune", action="store_true")
-        p.add_argument("--no-memo", action="store_true")
+        if searches:
+            p.add_argument("--jobs", type=int, default=1)
+            p.add_argument("--no-prune", action="store_true")
+            p.add_argument("--no-memo", action="store_true")
         p.add_argument("--json", action="store_true")
-        p.set_defaults(func=func)
+        p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bounds", help="print the bounds report for a graph file")
     p.add_argument("--in", dest="graph_in", required=True)
@@ -267,8 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
     except GraphTooLargeError as exc:
@@ -280,6 +267,9 @@ def main(argv: list[str] | None = None) -> int:
     except StrategyError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_STRATEGY_MISMATCH
+    except TimeBudgetExceededError as exc:
+        print(str(exc), file=sys.stderr)
+        return EXIT_OUT_OF_TIME
     except (GraphError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR

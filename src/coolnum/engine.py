@@ -22,10 +22,11 @@ from .graphs import DisconnectedGraphError, Graph, GraphError
 
 class SourcePolicy(Protocol):
     """Decision procedure: given (graph, cooled set after spread, round index),
-    return one uncooled node id. Must be deterministic for a fixed instance;
-    the cooled set argument must be treated as read-only."""
+    return one uncooled node id, or ``None`` for the smallest uncooled id.
+    Must be deterministic for a fixed instance; the cooled set argument must
+    be treated as read-only."""
 
-    def __call__(self, g: Graph, cooled: AbstractSet[int], round_index: int) -> int: ...
+    def __call__(self, g: Graph, cooled: AbstractSet[int], round_index: int) -> int | None: ...
 
 
 class InvalidSourceError(ValueError):
@@ -73,7 +74,13 @@ class CoolingTrace:
         return out
 
 
-def _run(g: Graph, policy: SourcePolicy) -> CoolingTrace:
+def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
+    """Run the process to completion under ``policy``.
+
+    Cooling and burning share this engine: the trace's round count is what
+    the cooling number maximizes and the burning number minimizes. A policy
+    that returns ``None`` gets the smallest uncooled id.
+    """
     if g.n < 1:
         raise GraphError("process needs at least one node")
     if not g.is_connected:
@@ -81,6 +88,7 @@ def _run(g: Graph, policy: SourcePolicy) -> CoolingTrace:
     cooled: set[int] = set()
     border: set[int] = set()  # uncooled nodes adjacent to a cooled node
     records: list[RoundRecord] = []
+    lowest = 0  # no id below it is uncooled; moves forward only, as cooled only grows
     t = 0
     while len(cooled) < g.n:
         t += 1
@@ -91,6 +99,10 @@ def _run(g: Graph, policy: SourcePolicy) -> CoolingTrace:
         source: int | None = None
         if len(cooled) < g.n:
             source = policy(g, cooled, t)
+            if source is None:
+                while lowest in cooled:
+                    lowest += 1
+                source = lowest
             if not isinstance(source, int) or not (0 <= source < g.n):
                 raise InvalidSourceError(source, t, f"policy returned invalid node {source!r}")
             if source in cooled:
@@ -104,31 +116,17 @@ def _run(g: Graph, policy: SourcePolicy) -> CoolingTrace:
     return CoolingTrace(tuple(records), frozenset(cooled))
 
 
-def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
-    """Run the cooling process to completion under ``policy``.
-
-    The trace's round count is the quantity the cooling number maximizes.
-    """
-    return _run(g, policy)
-
-
-def run_burning(g: Graph, policy: SourcePolicy) -> CoolingTrace:
-    """Run the burning process under ``policy``; same mechanics as cooling.
-
-    The trace's round count is the burning time of this policy, which the
-    burning number minimizes.
-    """
-    return _run(g, policy)
+run_burning = run_cooling
 
 
 class _SequencePolicy:
-    """Plays a fixed source list, then auto-extends with the smallest uncooled id."""
+    """Plays a fixed source list, then leaves the picks to the engine's fallback."""
 
     def __init__(self, seq: list[int]):
         self.seq = seq
         self.idx = 0
 
-    def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int:
+    def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int | None:
         if self.idx < len(self.seq):
             v = self.seq[self.idx]
             self.idx += 1
@@ -137,7 +135,7 @@ class _SequencePolicy:
             if v in cooled:
                 raise InvalidSourceError(v, t, f"sequence element {v} is already cooled")
             return v
-        return min(v for v in range(g.n) if v not in cooled)
+        return None
 
 
 def validate_sequence(g: Graph, seq: list[int] | tuple[int, ...]) -> CoolingTrace:
@@ -151,7 +149,7 @@ def validate_sequence(g: Graph, seq: list[int] | tuple[int, ...]) -> CoolingTrac
     exhausting is rejected.
     """
     policy = _SequencePolicy(list(seq))
-    trace = _run(g, policy)
+    trace = run_cooling(g, policy)
     if policy.idx < len(policy.seq):
         leftover = policy.seq[policy.idx :]
         raise InvalidSourceError(
@@ -162,9 +160,9 @@ def validate_sequence(g: Graph, seq: list[int] | tuple[int, ...]) -> CoolingTrac
     return trace
 
 
-def smallest_uncooled_policy(g: Graph, cooled: AbstractSet[int], t: int) -> int:
-    """Baseline policy: always pick the smallest uncooled id."""
-    return min(v for v in range(g.n) if v not in cooled)
+def smallest_uncooled_policy(g: Graph, cooled: AbstractSet[int], t: int) -> None:
+    """Baseline policy: always take the engine's smallest-uncooled fallback."""
+    return None
 
 
 def spread_step(g: Graph, cooled: AbstractSet[int]) -> frozenset[int]:

@@ -51,7 +51,8 @@ class TimeBudgetExceededError(RuntimeError):
 class SearchLimits:
     """Caps the solver refuses to exceed rather than run unbounded.
 
-    ``max_nodes=None`` selects the per-solver default (20 for cooling-side
+    ``max_nodes=None`` selects the ``COOLNUM_MAX_NODES`` environment
+    variable if set, else the per-solver default (20 for cooling-side
     searches, 24 for burning).
     """
 
@@ -202,8 +203,11 @@ def _worker(args) -> tuple[int, int, list[int], int, int]:
 
 
 def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchLimits:
+    """Resolve the node cap and check ``g`` against it; the only place caps are read."""
     limits = limits or SearchLimits()
-    cap = limits.max_nodes if limits.max_nodes is not None else default_cap
+    cap = limits.max_nodes
+    if cap is None:
+        cap = int(os.environ.get("COOLNUM_MAX_NODES", default_cap))
     if g.n > cap:
         raise GraphTooLargeError(g.n, cap)
     if g.n < 1:
@@ -235,8 +239,8 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     else:
         global_cap = (g.n + 1) // 2
 
-    if jobs > 1 and len(roots) > 1:
-        jobs = min(jobs, len(roots))
+    jobs = min(jobs, len(roots), os.cpu_count() or 1)
+    if jobs > 1:
         chunks = [roots[i::jobs] for i in range(jobs)]
         args = [(g, objective, chunk, prune, use_memo, deadline, global_cap)
                 for chunk in chunks]
@@ -281,23 +285,6 @@ def max_sequence_length(g: Graph, limits: SearchLimits | None = None, *, prune: 
     objective = source count). The round count of a run always lies within
     {sources, sources+1}."""
     return _max_solve(g, limits, _SOURCES, prune, use_memo, first_sources, jobs)
-
-
-class _BurnReplayPolicy:
-    """Plays planned centers in order, substituting the smallest unburned id
-    whenever a planned center is already burned (its ball is covered anyway)."""
-
-    def __init__(self, planned: list[int]):
-        self.planned = planned
-        self.idx = 0
-
-    def __call__(self, g: Graph, burned, t: int) -> int:
-        self.idx += 1
-        if self.idx <= len(self.planned):
-            c = self.planned[self.idx - 1]
-            if c not in burned:
-                return c
-        return min(v for v in range(g.n) if v not in burned)
 
 
 def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult:
@@ -366,17 +353,12 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
         if assignment is None:
             continue
         planned = [c for _, c in sorted(assignment, key=lambda rc: -rc[0])]
-        trace = run_burning(g, _BurnReplayPolicy(planned))
+        # a planned center that is already burned has its ball burned anyway,
+        # so the engine's smallest-unburned fallback takes its round
+        trace = run_burning(g, lambda g, burned, t: planned[t - 1] if t <= len(planned)
+                            and planned[t - 1] not in burned else None)
         if trace.num_rounds != k:
             raise AssertionError(f"cover replay gave {trace.num_rounds} rounds, expected {k}")
         return SearchResult(k, trace, SearchStats(expanded, cache_hits, time.monotonic() - start))
     raise AssertionError("unreachable: every connected graph burns within n rounds")
 
-
-def default_cooling_cap() -> int:
-    """Solver node cap, honoring the COOLNUM_MAX_NODES override."""
-    return int(os.environ.get("COOLNUM_MAX_NODES", DEFAULT_COOLING_MAX_NODES))
-
-
-def default_burning_cap() -> int:
-    return int(os.environ.get("COOLNUM_MAX_NODES", DEFAULT_BURNING_MAX_NODES))

@@ -204,7 +204,7 @@ def caterpillar_strategy(d: int) -> list[int]:
 
 
 class _SpiderSchedule:
-    """Two-phase leg schedule; one scripted pick per round, then auto-extend.
+    """Two-phase leg schedule; one scripted pick per round, then the engine's fallback.
 
     Phase 1 drains legs ``1..m'`` from the far end inward with halving round
     budgets; phase 2 races the spread down fresh legs ``m'+1..2m'`` from the
@@ -222,7 +222,7 @@ class _SpiderSchedule:
         self.plan = plan
         self.idx = 0
 
-    def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int:
+    def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int | None:
         if self.idx < len(self.plan):
             leg, farthest = self.plan[self.idx]
             self.idx += 1
@@ -230,7 +230,7 @@ class _SpiderSchedule:
             if not candidates:
                 raise StrategyError(f"round {t}: scheduled leg already fully cooled")
             return candidates[-1] if farthest else candidates[0]
-        return min(v for v in range(g.n) if v not in cooled)
+        return None
 
 
 @dataclass(frozen=True)
@@ -305,10 +305,6 @@ def ilt_lift_sequence(seq: list[int] | tuple[int, ...], source: IltGraph,
 
 
 # small drivers used by the CLI and the verification suites
-
-def grid_strategy_with_window(n: int) -> tuple[CoolingTrace, ClosedForm]:
-    return grid_simplicial_strategy(n), grid_cl_window(n)
-
 
 def caterpillar_strategy_trace(d: int) -> CoolingTrace:
     return validate_sequence(gen_complete_caterpillar(d), caterpillar_strategy(d))

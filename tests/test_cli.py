@@ -9,7 +9,7 @@ import pytest
 from coolnum.cli import main
 from coolnum.engine import read_trace, validate_sequence
 from coolnum.graph_io import read_graph, write_graph
-from coolnum.generators import gen_cycle, gen_path
+from coolnum.generators import gen_cycle, gen_grid, gen_path
 
 
 def run_cli(*argv):
@@ -45,6 +45,17 @@ class TestGen:
         code, _, err = run_cli("gen", "cycle", "--n", "2", "--out", str(tmp_path / "x.json"))
         assert code == 1
         assert "n >= 3" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["path"], "--n"),
+        (["spider", "--legs", "3"], "--r"),
+        (["ilt"], "--base"),
+    ])
+    def test_missing_family_flag_exits_one(self, tmp_path, argv, flag):
+        code, _, err = run_cli("gen", *argv, "--out", str(tmp_path / "x.json"))
+        assert code == 1
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
 
     def test_json_mode(self, tmp_path):
         code, out, _ = run_cli("gen", "grid", "--n", "3", "--json",
@@ -106,6 +117,35 @@ class TestSolverCommands:
         monkeypatch.setenv("COOLNUM_MAX_NODES", "22")
         code, out, _ = run_cli("exact", "--in", str(path))
         assert code == 0 and out.strip() == "12"
+
+
+    def test_burn_takes_no_search_flags(self, tmp_path):
+        path = tmp_path / "p9.json"
+        write_graph(gen_path(9), path)
+        for flag in (["--jobs", "2"], ["--no-prune"], ["--no-memo"]):
+            code, out, err = run_cli("burn", "--in", str(path), *flag)
+            assert code == 1 and out == ""
+            assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_time_budget_expiry_exit_six(self, tmp_path, jobs):
+        path = tmp_path / "g5.json"
+        write_graph(gen_grid(5), path)
+        code, out, err = run_cli("exact", "--in", str(path), "--max-nodes", "25",
+                                 "--time-budget", "0", "--jobs", jobs)
+        assert code == 6 and out == ""
+        assert err == "search exceeded its time budget\n"
+
+
+class TestUsage:
+    def test_usage_error_exits_one(self):
+        assert run_cli("gen", "nope", "--out", "x.json")[0] == 1
+        assert run_cli("exact")[0] == 1  # --in is required
+        assert run_cli()[0] == 1
+
+    def test_help_exits_zero(self):
+        code, out, _ = run_cli("exact", "--help")
+        assert code == 0 and "--time-budget" in out
 
 
 class TestBoundsCommand:

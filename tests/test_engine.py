@@ -64,6 +64,32 @@ class TestRunCooling:
         with pytest.raises(DisconnectedGraphError):
             run_cooling(build_graph(4, [(0, 1), (2, 3)]), smallest_uncooled_policy)
 
+    def test_none_takes_smallest_uncooled_after_scripted_picks(self):
+        script = {1: 6}  # round 1 picks the far end, later rounds defer
+        trace = run_cooling(gen_path(7), lambda g, cooled, t: script.get(t))
+        assert trace.sources == (6, 0, 2)
+        assert trace.num_rounds == 4
+
+    def test_scripted_pick_after_none_keeps_the_fallback_right(self):
+        script = {2: 6}  # round 1 defers (node 0), round 2 picks node 6
+        trace = run_cooling(gen_path(7), lambda g, cooled, t: script.get(t))
+        assert trace.sources == (0, 6, 3)
+        assert trace.num_rounds == 4
+
+    def test_none_matches_a_full_scan_for_the_smallest_uncooled(self):
+        def policy(scan):
+            def pick(g, cooled, t):
+                uncooled = [v for v in range(g.n) if v not in cooled]
+                if t % 3 == 1:
+                    return uncooled[-1]
+                return uncooled[0] if scan else None
+            return pick
+
+        rng = random.Random(11)
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randrange(2, 16), rng.choice((0.1, 0.3)))
+            assert run_cooling(g, policy(False)) == run_cooling(g, policy(True))
+
 
 class TestValidateSequence:
     def test_p5_every_other_node(self):

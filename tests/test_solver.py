@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
+from coolnum import solver
 from coolnum.corpus import random_connected_graph
 from coolnum.engine import validate_sequence
 from coolnum.generators import gen_complete_caterpillar, gen_cycle, gen_grid, gen_path, gen_spider
@@ -100,6 +102,23 @@ class TestCoolingNumber:
     def test_disconnected_refused(self):
         with pytest.raises(DisconnectedGraphError):
             cooling_number(build_graph(4, [(0, 1), (2, 3)]))
+
+    def test_library_call_honours_env_cap(self, monkeypatch):
+        g = gen_path(22)
+        with pytest.raises(GraphTooLargeError):
+            cooling_number(g)
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "22")
+        assert cooling_number(g).value == 12
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "21")
+        with pytest.raises(GraphTooLargeError) as err:
+            cooling_number(g)
+        assert err.value.cap == 21
+
+    def test_explicit_cap_beats_env_cap(self, monkeypatch):
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "5")
+        assert cooling_number(gen_path(8), SearchLimits(max_nodes=8)).value == 5
+        with pytest.raises(GraphTooLargeError):
+            max_sequence_length(gen_path(8))
 
     def test_time_budget_zero_trips(self):
         with pytest.raises(TimeBudgetExceededError):
@@ -222,6 +241,53 @@ class TestBurningNumber:
     def test_over_limit_refused(self):
         with pytest.raises(GraphTooLargeError):
             burning_number(gen_path(25))
+
+    def test_library_call_honours_env_cap(self, monkeypatch):
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "26")
+        assert burning_number(gen_path(26)).value == 6
+
+
+class TestJobsCap:
+    """``jobs`` is capped at the CPU count; a stub pool records the pool sizes."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class Pool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return [fn(a) for a in args]
+
+        monkeypatch.setattr(solver, "get_context", lambda: SimpleNamespace(Pool=Pool))
+        return sizes
+
+    def test_jobs_capped_at_cpu_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
+        g = gen_cycle(10)
+        serial = cooling_number(g)
+        parallel = cooling_number(g, jobs=8)
+        assert pool_sizes == [3]
+        assert (parallel.value, parallel.witness) == (serial.value, serial.witness)
+
+    def test_jobs_capped_at_root_count(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 8)
+        max_sequence_length(gen_cycle(10), first_sources=[0, 1], jobs=4)
+        assert pool_sizes == [2]
+
+    def test_one_or_unknown_cpu_count_runs_serially(self, pool_sizes, monkeypatch):
+        for count in (1, None):
+            monkeypatch.setattr(solver.os, "cpu_count", lambda: count)
+            assert cooling_number(gen_cycle(10), jobs=4).value == 4
+        assert pool_sizes == []
 
 
 class TestBoundsDuringSearch:

@@ -248,12 +248,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():  # a usage error names the subcommand's flags
+        p.set_defaults(parser=p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:

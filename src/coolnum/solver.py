@@ -13,6 +13,8 @@ so memoized values stay exact:
   (the state-local form of the diameter+1 bound).
 
 Both bounds are cross-checked against unpruned search in the test suite.
+First sources in one automorphism orbit have the same value, so only the
+lowest listed node of each orbit is searched.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .engine import CoolingTrace, run_burning, validate_sequence
-from .graphs import DisconnectedGraphError, Graph, GraphError, bfs_distances, diameter
+from .graphs import DisconnectedGraphError, Graph, GraphError
 
 DEFAULT_COOLING_MAX_NODES = 20
 DEFAULT_BURNING_MAX_NODES = 24
@@ -62,9 +64,14 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Work counters of one search. ``roots`` counts the first sources the
+    cooling-side searches ran, one per automorphism orbit found among the
+    listed ones (0 for burning)."""
+
     expanded: int
     memo_hits: int
     wall_time: float
+    roots: int = 0
 
 
 @dataclass(frozen=True)
@@ -188,7 +195,7 @@ def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
     for s in roots:
         if prune and best_root >= 0:
             counting = (n + 1) // 2 if objective == _ROUNDS else (n - 1) // 2
-            if best >= 1 + min(counting, search._ecc(1 << s)):
+            if best >= 1 + min(counting, max(g.distances[s])):
                 continue  # this root cannot strictly beat the incumbent
         v = 1 + search.best_from(1 << s)
         if v > best:
@@ -207,7 +214,11 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchL
     limits = limits or SearchLimits()
     cap = limits.max_nodes
     if cap is None:
-        cap = int(os.environ.get("COOLNUM_MAX_NODES", default_cap))
+        raw = os.environ.get("COOLNUM_MAX_NODES")
+        try:
+            cap = default_cap if raw is None else int(raw)
+        except ValueError:
+            raise ValueError(f"COOLNUM_MAX_NODES must be an integer, got {raw!r}") from None
     if g.n > cap:
         raise GraphTooLargeError(g.n, cap)
     if g.n < 1:
@@ -225,17 +236,24 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
 
     if g.n == 1:
         trace = validate_sequence(g, [0])
-        return SearchResult(1, trace, SearchStats(0, 0, time.monotonic() - start))
+        return SearchResult(1, trace, SearchStats(0, 0, time.monotonic() - start, 1))
 
     if first_sources is None:
-        roots = list(range(g.n))
+        listed = list(range(g.n))
     else:
-        roots = sorted(set(first_sources))
-        if not roots or roots[0] < 0 or roots[-1] >= g.n:
+        listed = sorted(set(first_sources))
+        if not listed or listed[0] < 0 or listed[-1] >= g.n:
             raise GraphError(f"first_sources must be node ids in 0..{g.n - 1}")
+    # an automorphism carries one root's search onto another's, so the lowest
+    # listed node of each orbit stands for the rest: memo values are exact
+    # and ties go to the lowest root, so the answer and witness do not change
+    kept: dict[int, int] = {}
+    for s in listed:
+        kept.setdefault(g.orbits[s], s)
+    roots = list(kept.values())
 
     if objective == _ROUNDS:
-        global_cap = min(diameter(g) + 1, (g.n + 2) // 2)
+        global_cap = min(max(map(max, g.distances)) + 1, (g.n + 2) // 2)
     else:
         global_cap = (g.n + 1) // 2
 
@@ -262,7 +280,8 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     achieved = trace.num_rounds if objective == _ROUNDS else len(trace.sources)
     if achieved != value:
         raise AssertionError(f"witness replay gave {achieved}, search said {value}")
-    return SearchResult(value, trace, SearchStats(expanded, hits, time.monotonic() - start))
+    return SearchResult(value, trace,
+                        SearchStats(expanded, hits, time.monotonic() - start, len(roots)))
 
 
 def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,
@@ -270,8 +289,10 @@ def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool 
                    jobs: int = 1) -> SearchResult:
     """Exact cooling number: the maximum round count over all source choices.
 
-    ``first_sources`` restricts the first-round branching; callers must ensure
-    the restriction covers every symmetry orbit (e.g. ``[0]`` on a cycle).
+    The search runs one first source per automorphism orbit
+    (:attr:`Graph.orbits`), so callers need not cover orbits themselves.
+    ``first_sources`` is an optional restriction of the first-round
+    branching: the answer is then the best over those first sources only.
     ``jobs > 1`` solves first-source branches in parallel processes with
     per-worker memo tables; results are identical regardless of schedule.
     """
@@ -282,7 +303,8 @@ def max_sequence_length(g: Graph, limits: SearchLimits | None = None, *, prune: 
                         use_memo: bool = True, first_sources: list[int] | None = None,
                         jobs: int = 1) -> SearchResult:
     """Exact maximum number of sources selectable in one run (same search,
-    objective = source count). The round count of a run always lies within
+    objective = source count, same ``first_sources`` and ``jobs`` as
+    :func:`cooling_number`). The round count of a run always lies within
     {sources, sources+1}."""
     return _max_solve(g, limits, _SOURCES, prune, use_memo, first_sources, jobs)
 
@@ -299,7 +321,7 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
     deadline = start + limits.time_budget if limits.time_budget is not None else None
     n = g.n
     full = (1 << n) - 1
-    dist = [bfs_distances(g, v) for v in range(n)]
+    dist = g.distances
     expanded = 0
     cache_hits = 0
 

@@ -76,7 +76,7 @@ def suite_path_formula() -> SuiteReport:
 def suite_cycle_formula() -> SuiteReport:
     def cases():
         for n in range(3, 15):
-            got = cooling_number(gen_cycle(n), first_sources=[0]).value
+            got = cooling_number(gen_cycle(n)).value
             yield f"C_{n}: solver {got} vs {(n + 4) // 3}", got == (n + 4) // 3
 
     return SuiteReport("cycle-formula", [_check("cooling of cycles", cases())])
@@ -314,8 +314,9 @@ def suite_determinism() -> SuiteReport:
     from .graph_io import write_graph
 
     with tempfile.TemporaryDirectory() as tmp:
-        gpath = Path(tmp) / "c8.json"
-        write_graph(gen_cycle(8), gpath)
+        # a path has several orbits, so --jobs 2 still runs two workers
+        gpath = Path(tmp) / "p8.json"
+        write_graph(gen_path(8), gpath)
         outputs = []
         for run in range(2):
             tpath = Path(tmp) / f"trace{run}.json"

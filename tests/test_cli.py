@@ -118,6 +118,11 @@ class TestSolverCommands:
         code, out, _ = run_cli("exact", "--in", str(path))
         assert code == 0 and out.strip() == "12"
 
+    def test_non_integer_env_cap_exit_one(self, c8, monkeypatch):
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "abc")
+        code, out, err = run_cli("exact", "--in", str(c8))
+        assert code == 1 and out == ""
+        assert err == "COOLNUM_MAX_NODES must be an integer, got 'abc'\n"
 
     def test_burn_takes_no_search_flags(self, tmp_path):
         path = tmp_path / "p9.json"
@@ -126,6 +131,9 @@ class TestSolverCommands:
             code, out, err = run_cli("burn", "--in", str(path), *flag)
             assert code == 1 and out == ""
             assert "unrecognized arguments" in err
+            # the subcommand's own usage, which lists the flags burn takes
+            assert err.startswith("usage: coolnum burn ") and "--max-nodes" in err
+            assert "coolnum burn: error: unrecognized arguments: " + " ".join(flag) in err
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_time_budget_expiry_exit_six(self, tmp_path, jobs):

@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
+
+from coolnum import graphs
+from coolnum.corpus import random_connected_graph
 
 from coolnum.generators import (
     GridCoord,
@@ -25,6 +31,66 @@ from coolnum.graphs import (
 
 def all_pairs_bfs(g):
     return [bfs_distances(g, v) for v in range(g.n)]
+
+
+def is_automorphism(g, perm):
+    edges = set(g.edges())
+    return sorted(perm) == list(range(g.n)) and all(
+        (min(perm[u], perm[v]), max(perm[u], perm[v])) in edges for u, v in edges)
+
+
+def orbits_by_permutations(g):
+    """Lowest orbit member per node, trying every permutation of the nodes."""
+    low = list(range(g.n))
+    for perm in itertools.permutations(range(g.n)):
+        if is_automorphism(g, perm):
+            for v in range(g.n):
+                low[perm[v]] = min(low[perm[v]], v)
+    return tuple(low)
+
+
+def automorphism_sending(g, a, b):
+    """An automorphism with ``a -> b``, or None: every permutation, cut as
+    soon as a partial map breaks an edge or a non-edge."""
+    nbrs = [set(row) for row in g.adj]
+    # nodes in order of distance from a, so each one after the first of its
+    # component has a mapped neighbour whose image's neighbours it must map to
+    dist = bfs_distances(g, a)
+    order = sorted(range(g.n), key=lambda v: (dist[v] == UNREACHABLE, dist[v], v))
+    image: dict[int, int] = {}
+
+    def assign(i):
+        if i == g.n:
+            return [image[v] for v in range(g.n)]
+        v = order[i]
+        mapped = [image[u] for u in nbrs[v] if u in image]
+        for w in [b] if i == 0 else nbrs[mapped[0]] if mapped else range(g.n):
+            if len(nbrs[w]) == len(nbrs[v]) and w not in image.values() and all(
+                    (image[u] in nbrs[w]) == (u in nbrs[v]) for u in image):
+                image[v] = w
+                perm = assign(i + 1)
+                if perm is not None:
+                    return perm
+                del image[v]
+        return None
+
+    return assign(0)
+
+
+def orbits_by_backtracking(g):
+    low = []
+    for v in range(g.n):
+        low.append(next(u for u in range(v + 1)
+                        if u == v or automorphism_sending(g, u, v) is not None))
+    return tuple(low)
+
+
+def frucht_graph():
+    """3-regular on 12 nodes with no automorphism but the identity."""
+    shifts = [-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]
+    edges = [(i, (i + 1) % 12) for i in range(12)]
+    edges += [(i, (i + k) % 12) for i, k in enumerate(shifts)]
+    return build_graph(12, edges)
 
 
 class TestBuildGraph:
@@ -179,3 +245,71 @@ class TestGridCoords:
             grid_node((0, 1), 3)
         with pytest.raises(GraphError):
             grid_coord(9, 3)
+
+
+class TestOrbits:
+    def small_graphs(self):
+        rng = random.Random(7)
+        for _ in range(120):
+            n = rng.randrange(1, 8)
+            yield random_connected_graph(rng, n, rng.choice((0.05, 0.2, 0.4, 0.7)))
+        for _ in range(40):  # disconnected inputs too
+            n = rng.randrange(1, 8)
+            yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                  if rng.random() < 0.3])
+
+    def test_small_graphs_match_every_permutation(self):
+        for g in self.small_graphs():
+            exact = orbits_by_permutations(g)
+            assert orbits_by_backtracking(g) == exact, g.adj
+            assert g.orbits == exact, g.adj
+
+    def test_corpus_matches_the_exact_partition(self, corpus):
+        for name, g in corpus:
+            assert g.orbits == orbits_by_backtracking(g), name
+
+    def test_unions_of_two_cycles_match_the_exact_partition(self):
+        # near-regular graphs: refinement seldom splits a class, so the search
+        # meets candidate permutations that fail the edge check
+        rng = random.Random(13)
+        for _ in range(300):
+            n = rng.randrange(6, 11)
+            edges = []
+            for _ in range(2):
+                order = list(range(n))
+                rng.shuffle(order)
+                edges += [(order[i - 1], order[i]) for i in range(n)]
+            g = build_graph(n, edges)
+            assert g.orbits == orbits_by_backtracking(g), g.adj
+
+    def test_merged_nodes_are_joined_by_an_automorphism(self):
+        rng = random.Random(11)
+        samples = [gen_grid(6), gen_cycle(24), gen_spider(4, 4), gen_complete_caterpillar(9),
+                   frucht_graph()]
+        samples += [random_connected_graph(rng, 30, 0.05) for _ in range(5)]
+        for g in samples:
+            for v, low in enumerate(g.orbits):
+                assert low <= v and g.orbits[low] == low
+                if low != v:
+                    perm = automorphism_sending(g, low, v)
+                    assert perm is not None and is_automorphism(g, perm), (g, low, v)
+
+    def test_family_orbit_counts(self):
+        assert set(gen_cycle(24).orbits) == {0}
+        assert sorted(set(gen_grid(6).orbits)) == [0, 1, 2, 7, 8, 14]
+        assert sorted(set(gen_path(10).orbits)) == [0, 1, 2, 3, 4]
+        assert len(set(gen_spider(4, 4).orbits)) == 5
+        assert len(set(frucht_graph().orbits)) == 12
+
+    def test_twins_merge_without_search(self, monkeypatch):
+        monkeypatch.setattr(graphs, "_ORBIT_REFINEMENTS_PER_NODE", 0)
+        star = gen_spider(5, 1)
+        assert star.orbits == (0, 1, 1, 1, 1, 1)
+        complete = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+        assert complete.orbits == (0,) * 5
+        # past the budget, nodes not yet merged stay as their own orbits
+        assert gen_cycle(6).orbits == tuple(range(6))
+
+    def test_orbits_are_cached(self):
+        g = gen_grid(4)
+        assert g.orbits is g.orbits

@@ -24,6 +24,14 @@ def complete_graph(n):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
+def all_roots(g, objective):
+    """``(value, sources)`` of the search from every first source, no orbit reduction."""
+    cap = min(diameter(g) + 1, (g.n + 2) // 2) if objective == solver._ROUNDS else (g.n + 1) // 2
+    value, _, seq, _, _ = solver._solve_roots(g, objective, list(range(g.n)), True, True,
+                                              None, cap)
+    return value, seq
+
+
 def small_sample():
     rng = random.Random(31)
     graphs = [gen_path(6), gen_cycle(7), gen_spider(3, 2), gen_complete_caterpillar(4),
@@ -114,6 +122,13 @@ class TestCoolingNumber:
             cooling_number(g)
         assert err.value.cap == 21
 
+    def test_non_integer_env_cap_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "abc")
+        with pytest.raises(ValueError, match="^COOLNUM_MAX_NODES must be an integer, got 'abc'$"):
+            cooling_number(gen_path(5))
+        with pytest.raises(ValueError, match="COOLNUM_MAX_NODES"):
+            burning_number(gen_path(5))
+
     def test_explicit_cap_beats_env_cap(self, monkeypatch):
         monkeypatch.setenv("COOLNUM_MAX_NODES", "5")
         assert cooling_number(gen_path(8), SearchLimits(max_nodes=8)).value == 5
@@ -128,13 +143,12 @@ class TestCoolingNumber:
     def test_cycle_symmetry_restriction_matches_full_search(self):
         for n in (5, 8, 11):
             g = gen_cycle(n)
-            full = cooling_number(g)
+            full = all_roots(g, solver._ROUNDS)
             orbit = cooling_number(g, first_sources=[0])
-            assert full.value == orbit.value
-            assert full.witness == orbit.witness
+            assert (orbit.value, list(orbit.witness.sources)) == full
 
     def test_parallel_jobs_match_serial(self):
-        for g in (gen_cycle(9), gen_complete_caterpillar(5)):
+        for g in (gen_path(9), gen_complete_caterpillar(5)):  # several orbits each
             serial = cooling_number(g)
             parallel = cooling_number(g, jobs=3)
             assert serial.value == parallel.value
@@ -272,7 +286,7 @@ class TestJobsCap:
 
     def test_jobs_capped_at_cpu_count(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
-        g = gen_cycle(10)
+        g = gen_path(10)  # 5 orbits, so the pool is capped by the CPU count
         serial = cooling_number(g)
         parallel = cooling_number(g, jobs=8)
         assert pool_sizes == [3]
@@ -280,14 +294,70 @@ class TestJobsCap:
 
     def test_jobs_capped_at_root_count(self, pool_sizes, monkeypatch):
         monkeypatch.setattr(solver.os, "cpu_count", lambda: 8)
-        max_sequence_length(gen_cycle(10), first_sources=[0, 1], jobs=4)
+        max_sequence_length(gen_path(10), first_sources=[0, 1], jobs=4)  # two orbits
         assert pool_sizes == [2]
+
+    def test_one_orbit_runs_serially(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 8)
+        res = cooling_number(gen_cycle(10), jobs=4)
+        assert res.value == 4 and res.stats.roots == 1
+        assert pool_sizes == []
 
     def test_one_or_unknown_cpu_count_runs_serially(self, pool_sizes, monkeypatch):
         for count in (1, None):
             monkeypatch.setattr(solver.os, "cpu_count", lambda: count)
             assert cooling_number(gen_cycle(10), jobs=4).value == 4
         assert pool_sizes == []
+
+
+# the benchmark's search pool: sparse random graphs of 30 to 40 nodes
+SEARCH_POOL = (2, 3, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 20, 21, 22, 25, 27, 28, 31)
+# the members where the orbit search drops a root and the source-count
+# search takes well under a second
+SEQLEN_POOL = (2, 11, 13, 14)
+
+
+def search_pool_graph(i):
+    return random_connected_graph(random.Random(10_000 + i), 30 + i % 11, 0.05)
+
+
+class TestOrbitReduction:
+    """One first source per orbit gives the all-roots search's value and witness."""
+
+    def test_corpus_matches_all_roots(self, corpus):
+        for name, g in corpus:
+            for objective, solve in ((solver._ROUNDS, cooling_number),
+                                     (solver._SOURCES, max_sequence_length)):
+                res = solve(g)
+                assert (res.value, list(res.witness.sources)) == all_roots(g, objective), name
+
+    def test_search_pool_matches_all_roots(self):
+        limits = SearchLimits(max_nodes=40)
+        for i in SEARCH_POOL:
+            g = search_pool_graph(i)
+            cases = [(solver._ROUNDS, cooling_number)]
+            if i in SEQLEN_POOL:
+                cases.append((solver._SOURCES, max_sequence_length))
+            for objective, solve in cases:
+                res = solve(g, limits)
+                assert (res.value, list(res.witness.sources)) == all_roots(g, objective), i
+
+    def test_roots_counts_one_per_orbit(self):
+        limits = SearchLimits(max_nodes=25)
+        assert cooling_number(gen_cycle(12)).stats.roots == 1
+        assert cooling_number(gen_path(9)).stats.roots == 5
+        assert max_sequence_length(gen_grid(5), limits).stats.roots == 6
+        # corners and the centre: two orbits among five listed nodes
+        res = cooling_number(gen_grid(5), limits, first_sources=[24, 0, 4, 12, 20])
+        assert res.stats.roots == 2
+        assert burning_number(gen_cycle(12)).stats.roots == 0
+
+    def test_fewer_states_than_all_roots(self):
+        g = gen_cycle(16)
+        # a global cap of n never cuts the root loop short
+        _, _, _, expanded, _ = solver._solve_roots(g, solver._ROUNDS, list(range(g.n)), True,
+                                                   True, None, g.n)
+        assert cooling_number(g).stats.expanded < expanded
 
 
 class TestBoundsDuringSearch:

@@ -9,6 +9,8 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
+from operator import or_
 from typing import Iterable, Iterator
 
 UNREACHABLE = -1
@@ -70,6 +72,21 @@ class Graph:
         """All-pairs hop distances (``UNREACHABLE`` across components); meant
         for graphs small enough to search."""
         return tuple(tuple(bfs_distances(self, v)) for v in range(self.n))
+
+    @cached_property
+    def balls(self) -> tuple[tuple[int, ...], ...]:
+        """``balls[v][r]``: bitmask of the nodes within ``r`` hops of ``v``, for
+        ``r`` in ``0..`` the greatest finite distance (the diameter of a
+        connected graph); meant for graphs small enough to search."""
+        top = max((d for row in self.distances for d in row), default=0)
+        table = []
+        for row in self.distances:
+            rings = [0] * (top + 1)
+            for w, d in enumerate(row):
+                if d != UNREACHABLE:
+                    rings[d] |= 1 << w
+            table.append(tuple(accumulate(rings, or_)))
+        return tuple(table)
 
     @cached_property
     def orbits(self) -> tuple[int, ...]:

@@ -8,13 +8,25 @@ so memoized values stay exact:
 
 * from a boundary state with ``u`` uncooled nodes at most ``ceil((u+1)/2)``
   rounds remain (every non-final round cools a spread node plus a source);
+  once a child reaches that bound, the remaining children are not searched;
 * at most ``ecc(C)`` rounds remain from cooled set ``C``, since spread alone
   reaches every node within ``ecc(C)`` rounds and sources only accelerate
-  (the state-local form of the diameter+1 bound).
+  (the state-local form of the diameter+1 bound);
+* at most ``ecc(C) - 1`` sources remain from a cooled set ``C`` that is not
+  full: a run from ``C`` lasts at most ``ecc(C)`` rounds, and if it lasts
+  exactly that many, the spread of its last round already cools every
+  remaining node, so that round picks no source.
 
-Both bounds are cross-checked against unpruned search in the test suite.
-First sources in one automorphism orbit have the same value, so only the
-lowest listed node of each orbit is searched.
+The eccentricity bounds are tested once per child, against the cached ball
+table :attr:`Graph.balls`: a child whose every node lies within ``value - 1``
+hops (rounds) or ``value`` hops (sources) cannot strictly beat the current
+best ``value``, so it is skipped; its id is higher than the current choice's,
+so the lowest-id optimal choice and the memoized value do not change. The
+same bounds cap each first source at ``ecc(s)`` and the whole search at the
+diameter (plus one for rounds). Every bound is cross-checked against
+unpruned search in the test suite. First sources in one automorphism orbit
+have the same value, so only the lowest listed node of each orbit is
+searched.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -66,12 +78,16 @@ class SearchLimits:
 class SearchStats:
     """Work counters of one search. ``roots`` counts the first sources the
     cooling-side searches ran, one per automorphism orbit found among the
-    listed ones (0 for burning)."""
+    listed ones. ``ecc_cuts`` counts children skipped by the eccentricity
+    bound and ``counting_cuts`` the child loops stopped by the counting
+    bound. All three are 0 for burning."""
 
     expanded: int
     memo_hits: int
     wall_time: float
     roots: int = 0
+    ecc_cuts: int = 0
+    counting_cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -92,11 +108,13 @@ class _MaxSearch:
 
     def __init__(self, g: Graph, objective: int, prune: bool, use_memo: bool,
                  deadline: float | None):
-        self.adj = g.adj
         self.masks = g.neighbor_masks
-        self.n = g.n
+        self.balls = g.balls
         self.full = (1 << g.n) - 1
         self.objective = objective
+        # a child within value - 1 + slack hops of every node cannot beat value:
+        # at most ecc rounds, or ecc - 1 sources, remain from it
+        self.slack = 0 if objective == _ROUNDS else 1
         self.prune = prune
         self.use_memo = use_memo
         self.deadline = deadline
@@ -105,6 +123,8 @@ class _MaxSearch:
         self.memo: dict[int, tuple[int, int | None]] = {}
         self.expanded = 0
         self.memo_hits = 0
+        self.ecc_cuts = 0
+        self.counting_cuts = 0
 
     def _spread(self, mask: int) -> int:
         acc = mask
@@ -116,22 +136,16 @@ class _MaxSearch:
             m ^= low
         return acc
 
-    def _ecc(self, mask: int) -> int:
-        """Greatest hop distance from the set ``mask``; graph is connected."""
-        seen = mask
-        frontier = [i for i in range(self.n) if mask >> i & 1]
-        d = 0
-        while True:
-            nxt = []
-            for v in frontier:
-                for w in self.adj[v]:
-                    if not seen >> w & 1:
-                        seen |= 1 << w
-                        nxt.append(w)
-            if not nxt:
-                return d
-            d += 1
-            frontier = nxt
+    def _within(self, mask: int, r: int) -> bool:
+        """Whether every node lies within ``r`` hops of the set ``mask``."""
+        balls = self.balls
+        rem = self.full ^ mask
+        while rem:
+            low = rem & -rem
+            if not balls[low.bit_length() - 1][r] & mask:
+                return False
+            rem ^= low
+        return True
 
     def best_from(self, boundary: int) -> int:
         """Objective value achievable from a cooled set at a round boundary."""
@@ -153,21 +167,23 @@ class _MaxSearch:
             value, choice = (1, None) if self.objective == _ROUNDS else (0, None)
             self.memo[boundary] = (value, choice)
             return value
-        u = (self.full ^ after).bit_count()
-        child_cap = self.n  # inert unless pruning
-        if self.prune:
-            counting = (u + 1) // 2 if self.objective == _ROUNDS else (u - 1) // 2
-            child_cap = min(counting, self._ecc(after))
+        rem = self.full ^ after
+        u = rem.bit_count()
+        counting = (u + 1) // 2 if self.objective == _ROUNDS else (u - 1) // 2
         value = 0
         choice: int | None = None
-        rem = self.full ^ after
         while rem:
             low = rem & -rem
             rem ^= low
-            v = 1 + self.best_from(after | low)
+            child = after | low
+            if self.prune and value and self._within(child, value - 1 + self.slack):
+                self.ecc_cuts += 1
+                continue
+            v = 1 + self.best_from(child)
             if v > value:
                 value, choice = v, low.bit_length() - 1
-                if self.prune and value >= 1 + child_cap:
+                if self.prune and value > counting:
+                    self.counting_cuts += 1
                     break  # no sibling can strictly beat the bound
         self.memo[boundary] = (value, choice)
         return value
@@ -185,27 +201,41 @@ class _MaxSearch:
         return seq
 
 
+def _global_cap(g: Graph, objective: int) -> int:
+    """Most rounds (``diameter + 1``) or sources (``diameter``) any run of the
+    connected graph ``g`` with at least two nodes can have, capped by counting."""
+    diameter = max(map(max, g.distances))
+    if objective == _ROUNDS:
+        return min(diameter + 1, (g.n + 2) // 2)
+    return min(diameter, (g.n + 1) // 2)
+
+
 def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
                  use_memo: bool, deadline: float | None, global_cap: int,
-                 ) -> tuple[int, int, list[int], int, int]:
-    """Search the given first-source choices; ties go to the lowest root."""
+                 ) -> tuple[int, int, list[int], tuple[int, int, int, int]]:
+    """Search the given first-source choices; ties go to the lowest root.
+
+    Returns the value, its root, the witness sources and the counters
+    ``(expanded, memo_hits, ecc_cuts, counting_cuts)``.
+    """
     search = _MaxSearch(g, objective, prune, use_memo, deadline)
     n = g.n
     best, best_root = 0, -1
     for s in roots:
         if prune and best_root >= 0:
             counting = (n + 1) // 2 if objective == _ROUNDS else (n - 1) // 2
-            if best >= 1 + min(counting, max(g.distances[s])):
+            if best >= 1 + min(counting, max(g.distances[s]) - search.slack):
                 continue  # this root cannot strictly beat the incumbent
         v = 1 + search.best_from(1 << s)
         if v > best:
             best, best_root = v, s
             if prune and best >= global_cap:
                 break
-    return best, best_root, search.reconstruct(best_root), search.expanded, search.memo_hits
+    counts = (search.expanded, search.memo_hits, search.ecc_cuts, search.counting_cuts)
+    return best, best_root, search.reconstruct(best_root), counts
 
 
-def _worker(args) -> tuple[int, int, list[int], int, int]:
+def _worker(args) -> tuple[int, int, list[int], tuple[int, int, int, int]]:
     return _solve_roots(*args)
 
 
@@ -234,16 +264,17 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     start = time.monotonic()
     deadline = start + limits.time_budget if limits.time_budget is not None else None
 
-    if g.n == 1:
-        trace = validate_sequence(g, [0])
-        return SearchResult(1, trace, SearchStats(0, 0, time.monotonic() - start, 1))
-
     if first_sources is None:
         listed = list(range(g.n))
     else:
         listed = sorted(set(first_sources))
         if not listed or listed[0] < 0 or listed[-1] >= g.n:
             raise GraphError(f"first_sources must be node ids in 0..{g.n - 1}")
+
+    if g.n == 1:
+        trace = validate_sequence(g, [0])
+        return SearchResult(1, trace, SearchStats(0, 0, time.monotonic() - start, 1))
+
     # an automorphism carries one root's search onto another's, so the lowest
     # listed node of each orbit stands for the rest: memo values are exact
     # and ties go to the lowest root, so the answer and witness do not change
@@ -251,11 +282,7 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     for s in listed:
         kept.setdefault(g.orbits[s], s)
     roots = list(kept.values())
-
-    if objective == _ROUNDS:
-        global_cap = min(max(map(max, g.distances)) + 1, (g.n + 2) // 2)
-    else:
-        global_cap = (g.n + 1) // 2
+    global_cap = _global_cap(g, objective)
 
     jobs = min(jobs, len(roots), os.cpu_count() or 1)
     if jobs > 1:
@@ -266,22 +293,22 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
         with ctx.Pool(jobs) as pool:
             outcomes = pool.map(_worker, args)
         value, root, seq = -1, -1, []
-        expanded = hits = 0
-        for v, r, s, e, h in outcomes:
-            expanded += e
-            hits += h
+        for v, r, s, _ in outcomes:
             if v > value or (v == value and r < root):
                 value, root, seq = v, r, s
+        counts = tuple(map(sum, zip(*(c for *_, c in outcomes))))
     else:
-        value, root, seq, expanded, hits = _solve_roots(
+        value, root, seq, counts = _solve_roots(
             g, objective, roots, prune, use_memo, deadline, global_cap)
 
     trace = validate_sequence(g, seq)
     achieved = trace.num_rounds if objective == _ROUNDS else len(trace.sources)
     if achieved != value:
         raise AssertionError(f"witness replay gave {achieved}, search said {value}")
+    expanded, hits, ecc_cuts, counting_cuts = counts
     return SearchResult(value, trace,
-                        SearchStats(expanded, hits, time.monotonic() - start, len(roots)))
+                        SearchStats(expanded, hits, time.monotonic() - start, len(roots),
+                                    ecc_cuts, counting_cuts))
 
 
 def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,
@@ -322,25 +349,11 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
     n = g.n
     full = (1 << n) - 1
     dist = g.distances
+    balls = g.balls  # radii up to the diameter; b <= diameter + 1 bounds every k tried
     expanded = 0
     cache_hits = 0
 
     for k in range(1, n + 1):
-        # ball_masks[c][r] for r <= k-1
-        ball_masks = []
-        for c in range(n):
-            row = []
-            acc = 0
-            by_d: list[list[int]] = [[] for _ in range(k)]
-            for w in range(n):
-                if dist[c][w] < k:
-                    by_d[dist[c][w]].append(w)
-            for r in range(k):
-                for w in by_d[r]:
-                    acc |= 1 << w
-                row.append(acc)
-            ball_masks.append(row)
-
         failed: set[tuple[int, tuple[int, ...]]] = set()
 
         def cover(covered: int, radii: tuple[int, ...]) -> list[tuple[int, int]] | None:
@@ -365,7 +378,7 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
                 rest = radii[:i] + radii[i + 1 :]
                 for c in range(n):
                     if dist[c][u] <= r:
-                        sub = cover(covered | ball_masks[c][r], rest)
+                        sub = cover(covered | balls[c][r], rest)
                         if sub is not None:
                             return [(r, c)] + sub
             failed.add(key)

@@ -313,3 +313,25 @@ class TestOrbits:
     def test_orbits_are_cached(self):
         g = gen_grid(4)
         assert g.orbits is g.orbits
+
+
+class TestBalls:
+    def test_balls_match_the_distance_table(self, corpus):
+        rng = random.Random(17)
+        samples = [g for _, g in corpus] + [gen_grid(6), gen_cycle(24), build_graph(1, [])]
+        samples += [build_graph(7, [(u, v) for u in range(7) for v in range(u + 1, 7)
+                                    if rng.random() < 0.2]) for _ in range(20)]  # disconnected
+        for g in samples:
+            top = max(d for row in g.distances for d in row)
+            for v, row in enumerate(g.distances):
+                assert len(g.balls[v]) == top + 1, g.adj
+                for r, ball in enumerate(g.balls[v]):
+                    assert ball == sum(1 << w for w, d in enumerate(row)
+                                       if d != UNREACHABLE and d <= r), (g.adj, v, r)
+
+    def test_radius_runs_to_the_diameter(self):
+        g = gen_grid(4)
+        assert all(len(row) == diameter(g) + 1 for row in g.balls)
+        assert g.balls[0][diameter(g)] == (1 << g.n) - 1
+        assert g.balls is g.balls
+        assert build_graph(0, []).balls == ()

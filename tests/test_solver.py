@@ -9,7 +9,7 @@ from coolnum import solver
 from coolnum.corpus import random_connected_graph
 from coolnum.engine import validate_sequence
 from coolnum.generators import gen_complete_caterpillar, gen_cycle, gen_grid, gen_path, gen_spider
-from coolnum.graphs import DisconnectedGraphError, build_graph, diameter
+from coolnum.graphs import DisconnectedGraphError, GraphError, build_graph, diameter
 from coolnum.solver import (
     GraphTooLargeError,
     SearchLimits,
@@ -26,9 +26,8 @@ def complete_graph(n):
 
 def all_roots(g, objective):
     """``(value, sources)`` of the search from every first source, no orbit reduction."""
-    cap = min(diameter(g) + 1, (g.n + 2) // 2) if objective == solver._ROUNDS else (g.n + 1) // 2
-    value, _, seq, _, _ = solver._solve_roots(g, objective, list(range(g.n)), True, True,
-                                              None, cap)
+    value, _, seq, _ = solver._solve_roots(g, objective, list(range(g.n)), True, True,
+                                           None, solver._global_cap(g, objective))
     return value, seq
 
 
@@ -65,13 +64,18 @@ class TestCoolingNumber:
                 b = cooling_number(g, use_memo=False, limits=SearchLimits(max_nodes=10)).value
                 assert a == b
 
-    def test_no_prune_matches(self):
-        for g in small_sample():
+    def test_no_prune_matches(self, corpus):
+        # both objectives: the source count has its own bounds (ecc - 1 per
+        # child and per first source, the diameter overall)
+        graphs = small_sample() + [g for _, g in corpus]
+        for g in graphs:
             if g.n <= 10:
-                a = cooling_number(g)
-                b = cooling_number(g, prune=False)
-                assert a.value == b.value
-                assert a.witness == b.witness  # lowest-id tie-break is prune-independent
+                for solve in (cooling_number, max_sequence_length):
+                    a = solve(g)
+                    b = solve(g, prune=False)
+                    assert a.value == b.value, (solve.__name__, g.adj)
+                    # lowest-id tie-break is prune-independent
+                    assert a.witness == b.witness, (solve.__name__, g.adj)
 
     def test_brute_force_agreement_on_tiny_graphs(self):
         # independent oracle: plain DFS over frozensets of cooled nodes,
@@ -158,6 +162,72 @@ class TestCoolingNumber:
         res = cooling_number(gen_path(8))
         assert res.stats.expanded > 0
         assert res.stats.wall_time >= 0.0
+
+    def test_first_sources_checked_on_a_single_node(self):
+        for solve in (cooling_number, max_sequence_length):
+            for bad in ([5], [-1], []):
+                with pytest.raises(GraphError, match="first_sources"):
+                    solve(gen_path(1), first_sources=bad)
+            assert solve(gen_path(1), first_sources=[0]).value == 1
+
+
+class TestPinnedWork:
+    """Deterministic work counts; a change here is a change to the search."""
+
+    LIMITS = SearchLimits(max_nodes=25)
+
+    def test_grid5(self):
+        stats = cooling_number(gen_grid(5), self.LIMITS).stats
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (130, 529, 6)
+
+    def test_cycle24(self):
+        stats = cooling_number(gen_cycle(24), self.LIMITS).stats
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (587, 2421, 11)
+
+    def test_seqlen_grid5(self):
+        stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (33, 229, 5)
+
+    def test_seqlen_search_pool_graph_10(self):
+        # 85,883 states when the source count was capped by counting alone
+        res = max_sequence_length(search_pool_graph(10), SearchLimits(max_nodes=40))
+        assert (res.value, res.stats.expanded) == (6, 12)
+
+    def test_cuts_are_zero_without_pruning_and_for_burning(self):
+        stats = cooling_number(gen_cycle(9), prune=False).stats
+        assert (stats.ecc_cuts, stats.counting_cuts) == (0, 0)
+        stats = burning_number(gen_grid(4)).stats
+        assert (stats.roots, stats.ecc_cuts, stats.counting_cuts) == (0, 0, 0)
+
+
+def ecc_by_bfs(g, mask):
+    """Greatest hop distance from the set ``mask`` of a connected graph."""
+    seen = mask
+    frontier = [i for i in range(g.n) if mask >> i & 1]
+    d = 0
+    while True:
+        nxt = []
+        for v in frontier:
+            for w in g.adj[v]:
+                if not seen >> w & 1:
+                    seen |= 1 << w
+                    nxt.append(w)
+        if not nxt:
+            return d
+        d += 1
+        frontier = nxt
+
+
+def test_within_matches_bfs_eccentricity(corpus):
+    rng = random.Random(23)
+    graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
+    for g in graphs:
+        search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
+        for _ in range(20):
+            mask = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
+            ecc = ecc_by_bfs(g, mask)
+            for r in range(diameter(g) + 1):
+                assert search._within(mask, r) == (ecc <= r), (g.adj, mask, r)
 
 
 class TestMaxSequenceLength:
@@ -303,6 +373,18 @@ class TestJobsCap:
         assert res.value == 4 and res.stats.roots == 1
         assert pool_sizes == []
 
+    def test_counters_are_summed_over_workers(self, pool_sizes, monkeypatch):
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
+        g = gen_path(12)
+        stats = cooling_number(g, jobs=2).stats
+        roots = sorted(set(g.orbits))
+        parts = [solver._solve_roots(g, solver._ROUNDS, roots[i::2], True, True, None,
+                                     solver._global_cap(g, solver._ROUNDS))[3]
+                 for i in range(2)]
+        assert pool_sizes == [2]
+        assert (stats.expanded, stats.memo_hits, stats.ecc_cuts, stats.counting_cuts) == tuple(
+            map(sum, zip(*parts)))
+
     def test_one_or_unknown_cpu_count_runs_serially(self, pool_sizes, monkeypatch):
         for count in (1, None):
             monkeypatch.setattr(solver.os, "cpu_count", lambda: count)
@@ -312,9 +394,6 @@ class TestJobsCap:
 
 # the benchmark's search pool: sparse random graphs of 30 to 40 nodes
 SEARCH_POOL = (2, 3, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 20, 21, 22, 25, 27, 28, 31)
-# the members where the orbit search drops a root and the source-count
-# search takes well under a second
-SEQLEN_POOL = (2, 11, 13, 14)
 
 
 def search_pool_graph(i):
@@ -335,10 +414,8 @@ class TestOrbitReduction:
         limits = SearchLimits(max_nodes=40)
         for i in SEARCH_POOL:
             g = search_pool_graph(i)
-            cases = [(solver._ROUNDS, cooling_number)]
-            if i in SEQLEN_POOL:
-                cases.append((solver._SOURCES, max_sequence_length))
-            for objective, solve in cases:
+            for objective, solve in ((solver._ROUNDS, cooling_number),
+                                     (solver._SOURCES, max_sequence_length)):
                 res = solve(g, limits)
                 assert (res.value, list(res.witness.sources)) == all_roots(g, objective), i
 
@@ -355,8 +432,8 @@ class TestOrbitReduction:
     def test_fewer_states_than_all_roots(self):
         g = gen_cycle(16)
         # a global cap of n never cuts the root loop short
-        _, _, _, expanded, _ = solver._solve_roots(g, solver._ROUNDS, list(range(g.n)), True,
-                                                   True, None, g.n)
+        _, _, _, (expanded, *_) = solver._solve_roots(g, solver._ROUNDS, list(range(g.n)), True,
+                                                      True, None, g.n)
         assert cooling_number(g).stats.expanded < expanded
 
 
@@ -366,6 +443,21 @@ class TestBoundsDuringSearch:
             cl = cooling_number(g).value
             d = diameter(g)
             assert (d + 3) // 2 <= cl <= min(d + 1, (g.n + 2) // 2)
+
+    def test_global_caps_hold_and_are_met(self, corpus):
+        for name, g in corpus:
+            if g.n > 1:
+                for objective, solve in ((solver._ROUNDS, cooling_number),
+                                         (solver._SOURCES, max_sequence_length)):
+                    assert solve(g).value <= solver._global_cap(g, objective), name
+        # on these sparse graphs a run reaches d + 1 rounds with d sources
+        for i in (2, 11, 13):
+            g = search_pool_graph(i)
+            d = diameter(g)
+            assert solver._global_cap(g, solver._ROUNDS) == d + 1
+            assert solver._global_cap(g, solver._SOURCES) == d
+            assert cooling_number(g, SearchLimits(max_nodes=40)).value == d + 1, i
+            assert max_sequence_length(g, SearchLimits(max_nodes=40)).value == d, i
 
 
 def test_sequence_length_tracks_cooling_number_over_corpus(corpus_with_cl):

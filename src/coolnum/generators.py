@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, build_graph, known_connected
 
 
 class GridCoord(NamedTuple):
@@ -66,7 +66,7 @@ def simplicial_order(n: int) -> list[int]:
 def gen_path(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return known_connected(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
 
 
 def gen_cycle(n: int) -> Graph:
@@ -74,7 +74,7 @@ def gen_cycle(n: int) -> Graph:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)]
     edges.append((n - 1, 0))
-    return build_graph(n, edges)
+    return known_connected(build_graph(n, edges))
 
 
 def gen_grid(n: int) -> Graph:
@@ -95,7 +95,7 @@ def gen_grid(n: int) -> Graph:
             if r + 1 < n:
                 nbrs.append(v + n)
             adj.append(tuple(nbrs))
-    return Graph(n * n, tuple(adj))
+    return known_connected(Graph(n * n, tuple(adj)))
 
 
 def gen_complete_caterpillar(d: int) -> Graph:
@@ -108,7 +108,7 @@ def gen_complete_caterpillar(d: int) -> Graph:
     edges = [(i, i + 1) for i in range(d - 1)]
     for j in range(1, d - 1):
         edges.append((j, d + j - 1))
-    return build_graph(2 * d - 2, edges)
+    return known_connected(build_graph(2 * d - 2, edges))
 
 
 def gen_spider(legs: int, r: int) -> Graph:
@@ -123,7 +123,7 @@ def gen_spider(legs: int, r: int) -> Graph:
         edges.append((0, first))
         for k in range(r - 1):
             edges.append((first + k, first + k + 1))
-    return build_graph(1 + legs * r, edges)
+    return known_connected(build_graph(1 + legs * r, edges))
 
 
 def spider_leg_nodes(legs: int, r: int) -> list[list[int]]:

@@ -10,7 +10,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from operator import or_
+from operator import add, or_
 from typing import Iterable, Iterator
 
 UNREACHABLE = -1
@@ -123,6 +123,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
 
 
+def known_connected(g: Graph) -> Graph:
+    """``g`` with ``is_connected`` preset to true, for a generator whose
+    graphs are connected by construction, so no caller pays its BFS."""
+    object.__setattr__(g, "is_connected", True)  # where the cached property would store it
+    return g
+
+
 def bfs_distances(g: Graph, v: int) -> list[int]:
     """Hop distances from ``v``; unreachable nodes get ``UNREACHABLE`` (-1)."""
     if not (0 <= v < g.n):
@@ -150,11 +157,77 @@ def eccentricity(g: Graph, v: int) -> int:
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all node pairs.
 
+    Computed by :func:`diameter_and_lowest_end` (iFUB). Raises
+    :class:`DisconnectedGraphError` on disconnected input.
+    """
+    return diameter_and_lowest_end(g)[0]
+
+
+def diameter_and_lowest_end(g: Graph) -> tuple[int, int]:
+    """The diameter, and the lowest id among the diametral ends (the nodes
+    whose eccentricity equals the diameter).
+
+    iFUB (Crescenzi, Grossi, Habib, Lanzi and Marino, 2013). A 4-sweep (a
+    double sweep from node 0, then one from the node it shows as most
+    central) picks a centre ``u``; BFS from ``u`` sorts the nodes into
+    levels ``0..e``. The nodes are then BFS'd from level ``e`` downward,
+    keeping ``lb``, the greatest eccentricity found, and the search stops
+    at the first node of a level ``i`` with ``lb > 2i``. Every node not
+    BFS'd by then lies in levels ``0..i``, so two of them are at most
+    ``2i < lb`` apart, and a pair with a BFS'd node is at most ``lb`` apart.
+    So ``lb`` is the diameter.
+
+    The ends are complete: of a diametral pair, at least one node was BFS'd
+    (two that were not are less than ``lb`` apart), and from it the other
+    lies at distance ``lb``. So the lowest end is the least, over BFS'd
+    nodes of eccentricity ``lb``, of the node and of the first node at
+    distance ``lb`` from it.
+
+    No node is BFS'd twice. Paths and grids take a few BFS runs, sparse
+    trees-plus-edges tens. The worst case is a graph whose nodes all have
+    about the same eccentricity: a vertex-transitive one, such as a cycle,
+    BFS's about ``n / 2`` fringe nodes, and a random graph of diameter 6 to
+    8 up to nearly all ``n``.
+
     Raises :class:`DisconnectedGraphError` on disconnected input.
     """
     if g.n == 0 or not g.is_connected:
         raise DisconnectedGraphError("diameter is undefined on a disconnected graph")
-    return max(eccentricity(g, v) for v in range(g.n))
+    lb = end = -1
+    visited: set[int] = set()
+
+    def visit(v: int) -> list[int]:
+        nonlocal lb, end
+        dist = bfs_distances(g, v)
+        visited.add(v)
+        ecc = max(dist)
+        first = min(v, dist.index(ecc))  # every node at distance ecc has eccentricity >= ecc
+        if ecc > lb:
+            lb, end = ecc, first
+        elif ecc == lb:
+            end = min(end, first)
+        return dist
+
+    sweeps: dict[int, list[int]] = {}
+    low = total = [0] * g.n  # per node, greatest and total distance from the swept nodes
+    u = 0
+    for _ in range(2):
+        for _ in range(2):  # from u to its farthest node
+            if u not in sweeps:
+                dist = sweeps[u] = visit(u)
+                low = [a if a > b else b for a, b in zip(low, dist)]
+                total = list(map(add, total, dist))
+            u = sweeps[u].index(max(sweeps[u]))
+        # the most central node by the sweeps: least greatest distance (a lower
+        # bound on its eccentricity), then least total distance
+        u = min(zip(low, total, range(g.n)))[2]
+    levels = sweeps[u] if u in sweeps else visit(u)
+    for w in sorted(range(g.n), key=levels.__getitem__, reverse=True):
+        if lb > 2 * levels[w]:
+            break
+        if w not in visited:
+            visit(w)
+    return lb, end
 
 
 def _rank(sigs: list) -> list[int]:

@@ -22,7 +22,7 @@ from .generators import (
     simplicial_order,
     spider_leg_nodes,
 )
-from .graphs import Graph, GraphError, bfs_distances, diameter
+from .graphs import Graph, GraphError, bfs_distances, diameter_and_lowest_end
 from .ilt import IltGraph, ilt_t
 
 
@@ -155,19 +155,20 @@ def grid_simplicial_strategy(n: int) -> CoolingTrace:
 
 
 def _diametral_path(g: Graph) -> list[int]:
-    """A shortest path realizing the diameter, found by double sweep and
-    verified (with exhaustive fallback) against the true diameter."""
-    d = diameter(g)
+    """A shortest path realizing the diameter, between the ends of the double
+    sweep from node 0 when they are the diameter apart. When the sweep falls
+    short, the path runs from the lowest diametral end ``a`` to the lowest
+    node at the diameter from ``a``: the first pair a scan of the nodes in id
+    order would find."""
+    d, lowest_end = diameter_and_lowest_end(g)
     dist0 = bfs_distances(g, 0)
     a = dist0.index(max(dist0))
     dist_a = bfs_distances(g, a)
     b = dist_a.index(max(dist_a))
     if dist_a[b] != d:
-        for u in range(g.n):  # double sweep missed; scan for a true pair
-            du = bfs_distances(g, u)
-            if max(du) == d:
-                a, b, dist_a = u, du.index(d), du
-                break
+        a = lowest_end
+        dist_a = bfs_distances(g, a)
+        b = dist_a.index(d)
     path = [b]
     cur = b
     while cur != a:

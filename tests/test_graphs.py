@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 from coolnum import graphs
@@ -25,12 +26,21 @@ from coolnum.graphs import (
     bfs_distances,
     build_graph,
     diameter,
+    diameter_and_lowest_end,
     eccentricity,
 )
+from coolnum.ilt import ilt_t
 
 
 def all_pairs_bfs(g):
     return [bfs_distances(g, v) for v in range(g.n)]
+
+
+def diameter_and_lowest_end_by_all_pairs(g):
+    """The greatest eccentricity and the lowest node that has it, by one BFS
+    from every node."""
+    eccs = [max(row) for row in all_pairs_bfs(g)]
+    return max(eccs), eccs.index(max(eccs))
 
 
 def is_automorphism(g, perm):
@@ -159,6 +169,41 @@ class TestDistances:
         assert eccentricity(gen_path(5), 2) == 2
 
 
+class TestDiameterAgainstAllPairs:
+    """``diameter_and_lowest_end`` BFS's a few nodes; each test compares it
+    with one BFS from every node."""
+
+    def check(self, samples):
+        for g in samples:
+            assert diameter_and_lowest_end(g) == diameter_and_lowest_end_by_all_pairs(g), g.adj
+
+    def test_corpus(self, corpus):
+        self.check(g for _, g in corpus)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random(29)
+        self.check(random_connected_graph(rng, rng.randrange(1, 25),
+                                          rng.choice((0.0, 0.03, 0.08, 0.2, 0.5)))
+                   for _ in range(2000))
+
+    def test_cycles(self):
+        self.check(gen_cycle(n) for n in range(3, 81))
+
+    def test_grids_spiders_and_ilt_paths(self):
+        self.check(gen_grid(n) for n in range(1, 16))
+        self.check(gen_spider(legs, r) for legs in range(1, 7) for r in range(1, 7))
+        self.check(ilt_t(gen_path(n), t).graph for n in range(3, 10) for t in (1, 2, 3))
+
+    def test_networkx_sample(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            g = random_connected_graph(rng, rng.randrange(1, 60), rng.choice((0.0, 0.05, 0.2)))
+            h = nx.Graph(list(g.edges()))
+            h.add_nodes_from(range(g.n))
+            assert diameter(g) == nx.diameter(h), g.adj
+            assert diameter_and_lowest_end(g)[1] == min(nx.periphery(h)), g.adj
+
+
 class TestGenerators:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_path_degree_sequence(self, n):
@@ -222,6 +267,16 @@ class TestGenerators:
     def test_parameter_minimums(self, gen, args):
         with pytest.raises(GraphError):
             gen(*args)
+
+    @pytest.mark.parametrize("gen", [
+        gen_path, gen_grid, lambda k: gen_cycle(k + 2), lambda k: gen_complete_caterpillar(k + 2),
+        lambda k: gen_spider(k, 1), lambda k: gen_spider(1, k), lambda k: gen_spider(k, k),
+    ], ids=["path", "grid", "cycle", "caterpillar", "star", "one-leg-spider", "spider"])
+    def test_connectivity_is_preset(self, gen):
+        for k in range(1, 31):
+            g = gen(k)
+            assert "is_connected" in vars(g)  # set by the generator, not computed
+            assert g.is_connected == (UNREACHABLE not in bfs_distances(g, 0)), g
 
     def test_handshake_lemma_over_families(self):
         for g in (gen_path(6), gen_cycle(9), gen_grid(4),

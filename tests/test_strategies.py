@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+
+from coolnum import graphs, strategies
 
 from coolnum.bounds import grid_iso_upper_bound
 from coolnum.engine import validate_sequence
@@ -15,7 +19,8 @@ from coolnum.generators import (
     simplicial_key,
     simplicial_order,
 )
-from coolnum.graphs import GraphError, build_graph
+from coolnum.corpus import random_connected_graph
+from coolnum.graphs import GraphError, bfs_distances, build_graph, diameter
 from coolnum.ilt import ilt_t
 from coolnum.solver import SearchLimits, cooling_number, max_sequence_length
 from coolnum.strategies import (
@@ -121,6 +126,99 @@ class TestPathDiameterStrategy:
             g = random_connected_graph(rng, rng.randrange(2, 12), 0.2)
             rounds = validate_sequence(g, path_diameter_strategy(g)).num_rounds
             assert rounds >= (diameter(g) + 3) // 2
+
+
+def diametral_path_by_scan(g):
+    """The diametral path as found before the fallback used the lowest
+    diametral end: double sweep from node 0, and when it falls short, the
+    first node in id order whose eccentricity is the diameter (one BFS from
+    every node gives the diameter here)."""
+    d = max(max(bfs_distances(g, v)) for v in range(g.n))
+    dist0 = bfs_distances(g, 0)
+    a = dist0.index(max(dist0))
+    dist_a = bfs_distances(g, a)
+    b = dist_a.index(max(dist_a))
+    if dist_a[b] != d:
+        for u in range(g.n):
+            du = bfs_distances(g, u)
+            if max(du) == d:
+                a, b, dist_a = u, du.index(d), du
+                break
+    path = [b]
+    cur = b
+    while cur != a:
+        cur = min(w for w in g.adj[cur] if dist_a[w] == dist_a[cur] - 1)
+        path.append(cur)
+    path.reverse()
+    if path[0] > path[-1]:
+        path.reverse()
+    return path
+
+
+def double_sweep_misses(g):
+    dist0 = bfs_distances(g, 0)
+    dist_a = bfs_distances(g, dist0.index(max(dist0)))
+    return max(dist_a) < diameter(g)
+
+
+SWEEP_MISSES = ("random-11-n8", "random-35-n8", "random-65-n12", "random-85-n7",
+                "random-89-n12", "random-96-n8", "random-141-n10", "random-153-n9")
+
+
+class TestDiametralPathFallback:
+    """Where the double sweep from node 0 falls short of the diameter, the
+    path starts at the lowest diametral end, as the scan in id order did."""
+
+    def test_four_node_graph(self):
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+        assert double_sweep_misses(g)
+        assert strategies._diametral_path(g) == diametral_path_by_scan(g)
+        assert path_diameter_strategy(g) == [2, 3]
+
+    def test_corpus_members_the_sweep_misses(self, corpus):
+        missed = [name for name, g in corpus if double_sweep_misses(g)]
+        assert missed == list(SWEEP_MISSES)
+        for name, g in corpus:
+            assert strategies._diametral_path(g) == diametral_path_by_scan(g), name
+
+    @pytest.mark.parametrize("i", [4, 7, 9, 12])
+    def test_sparse_500_node_graphs(self, i):
+        g = random_connected_graph(random.Random(31_000 + i), 500, 0.0008)
+        assert double_sweep_misses(g)
+        assert strategies._diametral_path(g) == diametral_path_by_scan(g)
+
+
+class TestPinnedWork:
+    """BFS runs per call on fresh graphs, whose generators preset connectivity;
+    one BFS per node would be 1,200, 1,202, 578 and 600."""
+
+    @pytest.fixture
+    def bfs_runs(self, monkeypatch):
+        runs = []
+
+        def counted(g, v):
+            runs.append(v)
+            return bfs_distances(g, v)
+
+        monkeypatch.setattr(graphs, "bfs_distances", counted)
+        monkeypatch.setattr(strategies, "bfs_distances", counted)
+        return runs
+
+    def test_diameter_of_path_1200(self, bfs_runs):
+        assert diameter(gen_path(1200)) == 1199
+        assert len(bfs_runs) == 3
+
+    def test_path_diameter_strategy_on_path_1200(self, bfs_runs):
+        assert path_diameter_strategy(gen_path(1200)) == list(range(0, 1200, 2))
+        assert len(bfs_runs) == 5
+
+    def test_path_diameter_strategy_on_grid_24(self, bfs_runs):
+        assert len(path_diameter_strategy(gen_grid(24))) == 24
+        assert len(bfs_runs) == 9
+
+    def test_diameter_of_cycle_600(self, bfs_runs):
+        assert diameter(gen_cycle(600)) == 300
+        assert len(bfs_runs) == 304
 
 
 class TestCaterpillarStrategy:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from . import verify
 from .bounds import bounds_report
@@ -65,9 +66,10 @@ def _emit(obj: dict, as_json: bool, plain: str) -> None:
 def _parse_base(spec: str):
     """Parse a ``family:param`` base-graph spec, e.g. ``path:6``."""
     family, _, raw = spec.partition(":")
-    if not raw:
-        raise GraphError(f"base spec {spec!r} must look like family:param (e.g. path:6)")
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        raise GraphError(f"base spec {spec!r} must look like family:param (e.g. path:6)") from None
     build, flags = FAMILIES.get(family, (None, ()))
     if len(flags) != 1:
         raise GraphError(f"unknown base family {family!r}")
@@ -101,7 +103,7 @@ def cmd_gen(args) -> int:
 
 
 # solver command -> (solver, whether it takes the search flags --jobs,
-# --no-prune and --no-memo)
+# --no-prune and --no-memo); --jobs is parsed and ignored, the search is serial
 SOLVERS = {
     "exact": (cooling_number, True),
     "seqlen": (max_sequence_length, True),
@@ -111,8 +113,7 @@ SOLVERS = {
 
 def cmd_solve(args) -> int:
     solve, searches = SOLVERS[args.command]
-    search = {"prune": not args.no_prune, "use_memo": not args.no_memo,
-              "jobs": args.jobs} if searches else {}
+    search = {"prune": not args.no_prune, "use_memo": not args.no_memo} if searches else {}
     result = solve(read_graph(args.graph_in),
                    SearchLimits(args.max_nodes, args.time_budget), **search)
     if args.trace_out:
@@ -262,7 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
-        return args.func(args)
+        with warnings.catch_warnings():  # a warning is one stderr line, no source echo
+            warnings.showwarning = lambda message, *_: print(message, file=sys.stderr)
+            return args.func(args)
     except GraphTooLargeError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_OVER_LIMIT

@@ -39,7 +39,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import get_context
 
 from .engine import CoolingTrace, run_burning, validate_sequence
 from .graphs import DisconnectedGraphError, Graph, GraphError
@@ -212,10 +211,10 @@ def _global_cap(g: Graph, objective: int) -> int:
 
 def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
                  use_memo: bool, deadline: float | None, global_cap: int,
-                 ) -> tuple[int, int, list[int], tuple[int, int, int, int]]:
+                 ) -> tuple[int, list[int], tuple[int, int, int, int]]:
     """Search the given first-source choices; ties go to the lowest root.
 
-    Returns the value, its root, the witness sources and the counters
+    Returns the value, the witness sources and the counters
     ``(expanded, memo_hits, ecc_cuts, counting_cuts)``.
     """
     search = _MaxSearch(g, objective, prune, use_memo, deadline)
@@ -232,11 +231,7 @@ def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
             if prune and best >= global_cap:
                 break
     counts = (search.expanded, search.memo_hits, search.ecc_cuts, search.counting_cuts)
-    return best, best_root, search.reconstruct(best_root), counts
-
-
-def _worker(args) -> tuple[int, int, list[int], tuple[int, int, int, int]]:
-    return _solve_roots(*args)
+    return best, search.reconstruct(best_root), counts
 
 
 def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchLimits:
@@ -259,7 +254,7 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchL
 
 
 def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: bool,
-               use_memo: bool, first_sources: list[int] | None, jobs: int) -> SearchResult:
+               use_memo: bool, first_sources: list[int] | None) -> SearchResult:
     limits = _prepare(g, limits, DEFAULT_COOLING_MAX_NODES)
     start = time.monotonic()
     deadline = start + limits.time_budget if limits.time_budget is not None else None
@@ -282,24 +277,8 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     for s in listed:
         kept.setdefault(g.orbits[s], s)
     roots = list(kept.values())
-    global_cap = _global_cap(g, objective)
-
-    jobs = min(jobs, len(roots), os.cpu_count() or 1)
-    if jobs > 1:
-        chunks = [roots[i::jobs] for i in range(jobs)]
-        args = [(g, objective, chunk, prune, use_memo, deadline, global_cap)
-                for chunk in chunks]
-        ctx = get_context()
-        with ctx.Pool(jobs) as pool:
-            outcomes = pool.map(_worker, args)
-        value, root, seq = -1, -1, []
-        for v, r, s, _ in outcomes:
-            if v > value or (v == value and r < root):
-                value, root, seq = v, r, s
-        counts = tuple(map(sum, zip(*(c for *_, c in outcomes))))
-    else:
-        value, root, seq, counts = _solve_roots(
-            g, objective, roots, prune, use_memo, deadline, global_cap)
+    value, seq, counts = _solve_roots(g, objective, roots, prune, use_memo, deadline,
+                                      _global_cap(g, objective))
 
     trace = validate_sequence(g, seq)
     achieved = trace.num_rounds if objective == _ROUNDS else len(trace.sources)
@@ -320,20 +299,19 @@ def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool 
     (:attr:`Graph.orbits`), so callers need not cover orbits themselves.
     ``first_sources`` is an optional restriction of the first-round
     branching: the answer is then the best over those first sources only.
-    ``jobs > 1`` solves first-source branches in parallel processes with
-    per-worker memo tables; results are identical regardless of schedule.
+    ``jobs`` is accepted for compatibility and ignored: the search is serial.
     """
-    return _max_solve(g, limits, _ROUNDS, prune, use_memo, first_sources, jobs)
+    return _max_solve(g, limits, _ROUNDS, prune, use_memo, first_sources)
 
 
 def max_sequence_length(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,
                         use_memo: bool = True, first_sources: list[int] | None = None,
                         jobs: int = 1) -> SearchResult:
     """Exact maximum number of sources selectable in one run (same search,
-    objective = source count, same ``first_sources`` and ``jobs`` as
-    :func:`cooling_number`). The round count of a run always lies within
+    objective = source count, same ``first_sources`` as :func:`cooling_number`,
+    ``jobs`` likewise ignored). The round count of a run always lies within
     {sources, sources+1}."""
-    return _max_solve(g, limits, _SOURCES, prune, use_memo, first_sources, jobs)
+    return _max_solve(g, limits, _SOURCES, prune, use_memo, first_sources)
 
 
 def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult:

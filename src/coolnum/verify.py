@@ -314,7 +314,7 @@ def suite_determinism() -> SuiteReport:
     from .graph_io import write_graph
 
     with tempfile.TemporaryDirectory() as tmp:
-        # a path has several orbits, so --jobs 2 still runs two workers
+        # --jobs is accepted and ignored; the row checks that it leaves the bytes alone
         gpath = Path(tmp) / "p8.json"
         write_graph(gen_path(8), gpath)
         outputs = []

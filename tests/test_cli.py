@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -57,6 +61,14 @@ class TestGen:
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("spec", ["path:x", "path:3:4"])
+    def test_non_integer_base_param_exits_one(self, tmp_path, spec):
+        out_file = tmp_path / "g.json"
+        code, _, err = run_cli("gen", "ilt", "--base", spec, "--t", "1", "--out", str(out_file))
+        assert code == 1
+        assert repr(spec) in err and "invalid literal" not in err
+        assert not out_file.exists()
+
     def test_json_mode(self, tmp_path):
         code, out, _ = run_cli("gen", "grid", "--n", "3", "--json",
                                "--out", str(tmp_path / "g.json"))
@@ -108,6 +120,13 @@ class TestSolverCommands:
         path.write_text('{"n": 4, "edges": [[0, 1], [2, 3]]}')
         code, _, _ = run_cli("exact", "--in", str(path))
         assert code == 3
+
+    def test_duplicate_edge_warning_is_one_line(self, tmp_path):
+        path = tmp_path / "dup.json"
+        path.write_text('{"n": 3, "edges": [[0, 1], [1, 0], [1, 2]]}')
+        code, out, err = run_cli("exact", "--in", str(path))
+        assert code == 0 and out == "2\n"
+        assert err.splitlines() == [f"{path}: dropped 1 duplicate edge(s)"]
 
     def test_max_nodes_env_override(self, tmp_path, monkeypatch):
         path = tmp_path / "p22.json"
@@ -243,3 +262,12 @@ class TestDeterminism:
             assert code == 0
             outputs.append((out, t.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the search is serial; importing the pool machinery costs every CLI start
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c", "import coolnum.cli, sys; print('multiprocessing' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -26,8 +25,8 @@ def complete_graph(n):
 
 def all_roots(g, objective):
     """``(value, sources)`` of the search from every first source, no orbit reduction."""
-    value, _, seq, _ = solver._solve_roots(g, objective, list(range(g.n)), True, True,
-                                           None, solver._global_cap(g, objective))
+    value, seq, _ = solver._solve_roots(g, objective, list(range(g.n)), True, True,
+                                        None, solver._global_cap(g, objective))
     return value, seq
 
 
@@ -152,11 +151,18 @@ class TestCoolingNumber:
             assert (orbit.value, list(orbit.witness.sources)) == full
 
     def test_parallel_jobs_match_serial(self):
-        for g in (gen_path(9), gen_complete_caterpillar(5)):  # several orbits each
-            serial = cooling_number(g)
-            parallel = cooling_number(g, jobs=3)
-            assert serial.value == parallel.value
-            assert serial.witness == parallel.witness
+        """``jobs`` is accepted and ignored: the same value, witness and work."""
+        def counters(res):
+            s = res.stats
+            return (s.expanded, s.memo_hits, s.roots, s.ecc_cuts, s.counting_cuts)
+
+        for solve in (cooling_number, max_sequence_length):
+            for g in (gen_path(9), gen_complete_caterpillar(5)):  # several orbits each
+                serial = solve(g, jobs=1)
+                for jobs in (0, 2, 8):
+                    res = solve(g, jobs=jobs)
+                    assert (res.value, res.witness, counters(res)) == (
+                        serial.value, serial.witness, counters(serial))
 
     def test_stats_populated(self):
         res = cooling_number(gen_path(8))
@@ -192,6 +198,11 @@ class TestPinnedWork:
         # 85,883 states when the source count was capped by counting alone
         res = max_sequence_length(search_pool_graph(10), SearchLimits(max_nodes=40))
         assert (res.value, res.stats.expanded) == (6, 12)
+
+    def test_path40_jobs2_searches_serially(self):
+        # 670,224 states when jobs=2 split the roots over two pooled workers
+        res = cooling_number(gen_path(40), SearchLimits(max_nodes=40), jobs=2)
+        assert (res.value, res.stats.expanded) == (21, 20)
 
     def test_cuts_are_zero_without_pruning_and_for_burning(self):
         stats = cooling_number(gen_cycle(9), prune=False).stats
@@ -331,67 +342,6 @@ class TestBurningNumber:
         assert burning_number(gen_path(26)).value == 6
 
 
-class TestJobsCap:
-    """``jobs`` is capped at the CPU count; a stub pool records the pool sizes."""
-
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-
-        class Pool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, args):
-                return [fn(a) for a in args]
-
-        monkeypatch.setattr(solver, "get_context", lambda: SimpleNamespace(Pool=Pool))
-        return sizes
-
-    def test_jobs_capped_at_cpu_count(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: 3)
-        g = gen_path(10)  # 5 orbits, so the pool is capped by the CPU count
-        serial = cooling_number(g)
-        parallel = cooling_number(g, jobs=8)
-        assert pool_sizes == [3]
-        assert (parallel.value, parallel.witness) == (serial.value, serial.witness)
-
-    def test_jobs_capped_at_root_count(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: 8)
-        max_sequence_length(gen_path(10), first_sources=[0, 1], jobs=4)  # two orbits
-        assert pool_sizes == [2]
-
-    def test_one_orbit_runs_serially(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: 8)
-        res = cooling_number(gen_cycle(10), jobs=4)
-        assert res.value == 4 and res.stats.roots == 1
-        assert pool_sizes == []
-
-    def test_counters_are_summed_over_workers(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
-        g = gen_path(12)
-        stats = cooling_number(g, jobs=2).stats
-        roots = sorted(set(g.orbits))
-        parts = [solver._solve_roots(g, solver._ROUNDS, roots[i::2], True, True, None,
-                                     solver._global_cap(g, solver._ROUNDS))[3]
-                 for i in range(2)]
-        assert pool_sizes == [2]
-        assert (stats.expanded, stats.memo_hits, stats.ecc_cuts, stats.counting_cuts) == tuple(
-            map(sum, zip(*parts)))
-
-    def test_one_or_unknown_cpu_count_runs_serially(self, pool_sizes, monkeypatch):
-        for count in (1, None):
-            monkeypatch.setattr(solver.os, "cpu_count", lambda: count)
-            assert cooling_number(gen_cycle(10), jobs=4).value == 4
-        assert pool_sizes == []
-
-
 # the benchmark's search pool: sparse random graphs of 30 to 40 nodes
 SEARCH_POOL = (2, 3, 7, 8, 9, 10, 11, 12, 13, 14, 17, 18, 20, 21, 22, 25, 27, 28, 31)
 
@@ -432,8 +382,8 @@ class TestOrbitReduction:
     def test_fewer_states_than_all_roots(self):
         g = gen_cycle(16)
         # a global cap of n never cuts the root loop short
-        _, _, _, (expanded, *_) = solver._solve_roots(g, solver._ROUNDS, list(range(g.n)), True,
-                                                      True, None, g.n)
+        _, _, (expanded, *_) = solver._solve_roots(g, solver._ROUNDS, list(range(g.n)), True,
+                                                   True, None, g.n)
         assert cooling_number(g).stats.expanded < expanded
 
 

@@ -235,7 +235,8 @@ def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
 
 
 def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchLimits:
-    """Resolve the node cap and check ``g`` against it; the only place caps are read."""
+    """Resolve the node cap, check ``g`` against it and check the time budget;
+    the only place limits are read."""
     limits = limits or SearchLimits()
     cap = limits.max_nodes
     if cap is None:
@@ -244,13 +245,16 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchL
             cap = default_cap if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"COOLNUM_MAX_NODES must be an integer, got {raw!r}") from None
+    budget = limits.time_budget
+    if budget is not None and not budget >= 0:  # also catches NaN
+        raise ValueError(f"time budget must be a non-negative number of seconds, got {budget}")
     if g.n > cap:
         raise GraphTooLargeError(g.n, cap)
     if g.n < 1:
         raise GraphError("solver needs at least one node")
     if not g.is_connected:
         raise DisconnectedGraphError("solver requires a connected graph")
-    return SearchLimits(cap, limits.time_budget)
+    return SearchLimits(cap, budget)
 
 
 def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: bool,

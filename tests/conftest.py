@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from coolnum.bounds import IsoProfile
 from coolnum.corpus import build_corpus
 from coolnum.graphs import Graph
 from coolnum.solver import cooling_number
@@ -41,6 +42,37 @@ def exhaustive_b_cl(g: Graph) -> tuple[int, int]:
 
     firsts = [rounds_after(1 << v) for v in range(n)]
     return 1 + min(f for f, _ in firsts), 1 + max(m for _, m in firsts)
+
+
+def subset_loop_profile(g: Graph) -> IsoProfile:
+    """Exact isoperimetric profile by a Python loop over all ``2^n`` subsets.
+
+    This is the enumeration ``iso_profile_exact`` ran before it was
+    bit-sliced, kept as its reference. Subsets are visited in increasing
+    order, so each one's neighbourhood is its lowest member's neighbours
+    joined with the neighbourhood of the subset without that member.
+    """
+    n = g.n
+    masks = g.neighbor_masks
+    size = 1 << n
+    neigh = [0] * size  # union of neighborhoods over members, by subset
+    best = [n + 1] * (n + 1)
+    best[0] = 0
+    for s in range(1, size):
+        low = s & -s
+        nb = neigh[s ^ low] | masks[low.bit_length() - 1]
+        neigh[s] = nb
+        b = (nb & ~s).bit_count()
+        k = s.bit_count()
+        if b < best[k]:
+            best[k] = b
+    return IsoProfile(n, tuple(best))
+
+
+@pytest.fixture(scope="session")
+def loop_profile():
+    """The solver-free profile enumeration, :func:`subset_loop_profile`."""
+    return subset_loop_profile
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coolnum.bounds import (
     ProfileSizeError,
@@ -76,6 +78,56 @@ class TestExactProfile:
     def test_cap_refusal_mentions_grid_profile(self):
         with pytest.raises(ProfileSizeError, match="grid_iso_profile"):
             iso_profile_exact(gen_path(17))
+
+
+def seeded_graph(n, p=0.3):
+    """Random graph on ``n`` nodes seeded by ``n``; it may be disconnected."""
+    rng = random.Random(n)
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < p])
+
+
+class TestBitSlicedProfile:
+    """``iso_profile_exact`` against the subset loop it replaced."""
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_path_matches_loop(self, n, loop_profile):
+        g = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+        assert iso_profile_exact(g) == loop_profile(g)
+
+    @pytest.mark.parametrize("n", range(17))
+    def test_seeded_random_matches_loop(self, n, loop_profile):
+        g = seeded_graph(n)
+        assert iso_profile_exact(g) == loop_profile(g)
+
+    def test_disconnected_matches_loop(self, loop_profile):
+        small = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+        assert iso_profile_exact(small).phi == (0, 1, 0, 0, 1, 0)
+        six_cycle = [(i, (i + 1) % 6) for i in range(6)]
+        big = build_graph(13, six_cycle + [(i, i + 1) for i in range(6, 10)])  # 11, 12 isolated
+        for g in (small, big):
+            assert not g.is_connected
+            assert iso_profile_exact(g) == loop_profile(g)
+
+    def test_corpus_matches_loop(self, corpus, loop_profile):
+        for name, g in corpus:
+            assert iso_profile_exact(g) == loop_profile(g), name
+
+
+@st.composite
+def any_graphs(draw, max_n=9):
+    """Graph on up to ``max_n`` nodes, each possible edge drawn on its own."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(any_graphs())
+def test_profile_matches_border_oracle(g):
+    profile = iso_profile_exact(g)
+    assert profile.phi == tuple(brute_border_min(g, k) for k in range(g.n + 1))
 
 
 class TestGridProfile:

@@ -163,6 +163,12 @@ class TestSolverCommands:
         assert code == 6 and out == ""
         assert err == "search exceeded its time budget\n"
 
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_nan_or_negative_time_budget_exit_one(self, c8, budget):
+        code, out, err = run_cli("exact", "--in", str(c8), "--time-budget", budget)
+        assert code == 1 and out == ""
+        assert err == f"time budget must be a non-negative number of seconds, got {float(budget)}\n"
+
 
 class TestUsage:
     def test_usage_error_exits_one(self):

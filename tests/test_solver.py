@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -142,6 +143,15 @@ class TestCoolingNumber:
         with pytest.raises(TimeBudgetExceededError):
             cooling_number(gen_path(16), SearchLimits(max_nodes=16, time_budget=0.0),
                            prune=False)
+
+    @pytest.mark.parametrize("budget", [float("nan"), -1])
+    def test_nan_or_negative_time_budget_refused(self, budget):
+        want = f"^time budget must be a non-negative number of seconds, got {budget}$"
+        for g in (gen_cycle(24), gen_path(18)):
+            with pytest.raises(ValueError, match=want):
+                cooling_number(g, SearchLimits(max_nodes=40, time_budget=budget))
+        with pytest.raises(ValueError, match=want):
+            burning_number(gen_path(5), SearchLimits(time_budget=budget))
 
     def test_cycle_symmetry_restriction_matches_full_search(self):
         for n in (5, 8, 11):
@@ -340,6 +350,16 @@ class TestBurningNumber:
     def test_library_call_honours_env_cap(self, monkeypatch):
         monkeypatch.setenv("COOLNUM_MAX_NODES", "26")
         assert burning_number(gen_path(26)).value == 6
+
+    def test_burning_number_conjecture_over_corpus(self, corpus):
+        """``b(G) <= ceil(sqrt(n))`` on every corpus graph.
+
+        This is the burning number conjecture of Bonato, Janssen and
+        Roshanbin, "How to burn a graph" (2016); it is open in general. A
+        failure here would be a counterexample, so a finding, not a bug.
+        """
+        for name, g in corpus:
+            assert burning_number(g).value <= math.isqrt(g.n - 1) + 1, name
 
 
 # the benchmark's search pool: sparse random graphs of 30 to 40 nodes

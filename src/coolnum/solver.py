@@ -17,11 +17,16 @@ so memoized values stay exact:
   exactly that many, the spread of its last round already cools every
   remaining node, so that round picks no source.
 
-The eccentricity bounds are tested once per child, against the cached ball
-table :attr:`Graph.balls`: a child whose every node lies within ``value - 1``
-hops (rounds) or ``value`` hops (sources) cannot strictly beat the current
-best ``value``, so it is skipped; its id is higher than the current choice's,
-so the lowest-id optimal choice and the memoized value do not change. The
+The eccentricity bounds are tested once per child: a child whose every node
+lies within ``r = value - 1`` hops (rounds) or ``r = value`` hops (sources)
+cannot strictly beat the current best ``value``, so it is skipped; its id is
+higher than the current choice's, so the lowest-id optimal choice and the
+memoized value do not change. A child of boundary state ``B`` is
+``N[B] | {s}``, and for nonempty ``B``, ``dist(w, N[B]) <= r`` exactly when
+``dist(w, B) <= r + 1``. So each state ORs the cached balls
+(:attr:`Graph.balls`) of radius ``r + 1`` around the members of ``B`` into
+one union, rebuilt only when ``value`` rises, and a child is skipped when
+that union ORed with the radius-``r`` ball of ``s`` is every node. The
 same bounds cap each first source at ``ecc(s)`` and the whole search at the
 diameter (plus one for rounds). Every bound is cross-checked against
 unpruned search in the test suite. First sources in one automorphism orbit
@@ -79,7 +84,9 @@ class SearchStats:
     cooling-side searches ran, one per automorphism orbit found among the
     listed ones. ``ecc_cuts`` counts children skipped by the eccentricity
     bound and ``counting_cuts`` the child loops stopped by the counting
-    bound. All three are 0 for burning."""
+    bound. ``memo_size`` is the number of memo entries at the end of the
+    search, which is also its peak, since the memo only grows. All four are
+    0 for burning."""
 
     expanded: int
     memo_hits: int
@@ -87,6 +94,7 @@ class SearchStats:
     roots: int = 0
     ecc_cuts: int = 0
     counting_cuts: int = 0
+    memo_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -110,6 +118,7 @@ class _MaxSearch:
         self.masks = g.neighbor_masks
         self.balls = g.balls
         self.full = (1 << g.n) - 1
+        self.top = len(self.balls[0]) - 1  # the diameter, the last ball radius
         self.objective = objective
         # a child within value - 1 + slack hops of every node cannot beat value:
         # at most ecc rounds, or ecc - 1 sources, remain from it
@@ -135,16 +144,17 @@ class _MaxSearch:
             m ^= low
         return acc
 
-    def _within(self, mask: int, r: int) -> bool:
-        """Whether every node lies within ``r`` hops of the set ``mask``."""
+    def _reach(self, mask: int, r: int) -> int:
+        """The nodes within ``r`` hops of the set ``mask``; past the diameter
+        every ball is the whole graph."""
         balls = self.balls
-        rem = self.full ^ mask
-        while rem:
-            low = rem & -rem
-            if not balls[low.bit_length() - 1][r] & mask:
-                return False
-            rem ^= low
-        return True
+        r = min(r, self.top)
+        acc = 0
+        while mask:
+            low = mask & -mask
+            acc |= balls[low.bit_length() - 1][r]
+            mask ^= low
+        return acc
 
     def best_from(self, boundary: int) -> int:
         """Objective value achievable from a cooled set at a round boundary."""
@@ -171,19 +181,27 @@ class _MaxSearch:
         counting = (u + 1) // 2 if self.objective == _ROUNDS else (u - 1) // 2
         value = 0
         choice: int | None = None
+        balls, full = self.balls, self.full
+        reach = r = 0  # reach stays 0 until pruning has a value to beat
         while rem:
             low = rem & -rem
             rem ^= low
-            child = after | low
-            if self.prune and value and self._within(child, value - 1 + self.slack):
+            i = low.bit_length() - 1
+            if reach and (reach | balls[i][r]) == full:
                 self.ecc_cuts += 1
                 continue
-            v = 1 + self.best_from(child)
+            v = 1 + self.best_from(after | low)
             if v > value:
-                value, choice = v, low.bit_length() - 1
-                if self.prune and value > counting:
-                    self.counting_cuts += 1
-                    break  # no sibling can strictly beat the bound
+                value, choice = v, i
+                if self.prune:
+                    if value > counting:
+                        self.counting_cuts += 1
+                        break  # no sibling can strictly beat the bound
+                    # a child after | low is within r hops of every node
+                    # exactly when reach | balls[i][r] is full, since
+                    # dist(w, N[B]) <= r iff dist(w, B) <= r + 1
+                    r = value - 1 + self.slack
+                    reach = self._reach(boundary, r + 1)
         self.memo[boundary] = (value, choice)
         return value
 
@@ -211,11 +229,11 @@ def _global_cap(g: Graph, objective: int) -> int:
 
 def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
                  use_memo: bool, deadline: float | None, global_cap: int,
-                 ) -> tuple[int, list[int], tuple[int, int, int, int]]:
+                 ) -> tuple[int, list[int], tuple[int, int, int, int, int]]:
     """Search the given first-source choices; ties go to the lowest root.
 
     Returns the value, the witness sources and the counters
-    ``(expanded, memo_hits, ecc_cuts, counting_cuts)``.
+    ``(expanded, memo_hits, ecc_cuts, counting_cuts, memo_size)``.
     """
     search = _MaxSearch(g, objective, prune, use_memo, deadline)
     n = g.n
@@ -230,7 +248,8 @@ def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
             best, best_root = v, s
             if prune and best >= global_cap:
                 break
-    counts = (search.expanded, search.memo_hits, search.ecc_cuts, search.counting_cuts)
+    counts = (search.expanded, search.memo_hits, search.ecc_cuts, search.counting_cuts,
+              len(search.memo))
     return best, search.reconstruct(best_root), counts
 
 
@@ -245,6 +264,8 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchL
             cap = default_cap if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"COOLNUM_MAX_NODES must be an integer, got {raw!r}") from None
+    if cap < 1:  # no graph fits, so this is a usage error, not an over-limit input
+        raise ValueError(f"node cap must be a positive integer, got {cap}")
     budget = limits.time_budget
     if budget is not None and not budget >= 0:  # also catches NaN
         raise ValueError(f"time budget must be a non-negative number of seconds, got {budget}")
@@ -288,10 +309,10 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     achieved = trace.num_rounds if objective == _ROUNDS else len(trace.sources)
     if achieved != value:
         raise AssertionError(f"witness replay gave {achieved}, search said {value}")
-    expanded, hits, ecc_cuts, counting_cuts = counts
+    expanded, hits, ecc_cuts, counting_cuts, memo_size = counts
     return SearchResult(value, trace,
                         SearchStats(expanded, hits, time.monotonic() - start, len(roots),
-                                    ecc_cuts, counting_cuts))
+                                    ecc_cuts, counting_cuts, memo_size))
 
 
 def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,

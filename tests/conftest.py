@@ -11,37 +11,59 @@ from coolnum.solver import cooling_number
 
 
 @lru_cache(maxsize=None)
-def exhaustive_b_cl(g: Graph) -> tuple[int, int]:
-    """``(b, CL)`` of a connected graph by trying every mandatory-source run.
+def exhaustive_b_cl(g: Graph) -> tuple[int, int, int]:
+    """``(b, CL, S)`` of a connected graph by trying every mandatory-source run.
 
     Written from the README's definition, independently of the solver: a
     state is the cooled set (a bitmask) at the end of a round. Every later
     round spreads once and then, unless every node is cooled, adds one
-    uncooled node as a source. ``b`` is the fewest rounds over all runs and
-    ``CL`` the most. States are shared between runs, so each reachable
-    cooled set is expanded once.
+    uncooled node as a source. ``b`` is the fewest rounds over all runs,
+    ``CL`` the most, and ``S`` the most sources any run picks. States are
+    shared between runs, so each reachable cooled set is expanded once.
     """
     n = g.n
     full = (1 << n) - 1
     closed = [1 << v | sum(1 << w for w in g.adj[v]) for v in range(n)]
-    rest: dict[int, tuple[int, int]] = {}  # cooled set -> (fewest, most) rounds to come
+    # cooled set -> (fewest rounds, most rounds, most sources) to come
+    rest: dict[int, tuple[int, int, int]] = {}
 
-    def rounds_after(cooled: int) -> tuple[int, int]:
+    def rest_after(cooled: int) -> tuple[int, int, int]:
         if cooled == full:
-            return (0, 0)
+            return (0, 0, 0)
         if cooled not in rest:
             spread = 0
             for v in range(n):
                 if cooled >> v & 1:
                     spread |= closed[v]
-            outcomes = [rounds_after(spread | 1 << v)
-                        for v in range(n) if not spread >> v & 1] or [(0, 0)]
-            rest[cooled] = (1 + min(f for f, _ in outcomes),
-                            1 + max(m for _, m in outcomes))
+            if spread == full:
+                rest[cooled] = (1, 1, 0)  # a last round of spread, no source
+            else:
+                outcomes = [rest_after(spread | 1 << v) for v in range(n) if not spread >> v & 1]
+                rest[cooled] = (1 + min(f for f, _, _ in outcomes),
+                                1 + max(m for _, m, _ in outcomes),
+                                1 + max(s for _, _, s in outcomes))
         return rest[cooled]
 
-    firsts = [rounds_after(1 << v) for v in range(n)]
-    return 1 + min(f for f, _ in firsts), 1 + max(m for _, m in firsts)
+    firsts = [rest_after(1 << v) for v in range(n)]
+    return (1 + min(f for f, _, _ in firsts), 1 + max(m for _, m, _ in firsts),
+            1 + max(s for _, _, s in firsts))
+
+
+def within_by_scan(g: Graph, mask: int, r: int) -> bool:
+    """Whether every node of ``g`` lies within ``r`` hops of the set ``mask``.
+
+    The per-node scan the cooling search ran for its eccentricity bound
+    before it ORed ball unions, kept as that test's reference: each node
+    outside ``mask`` must have a member of ``mask`` in its radius-``r`` ball.
+    """
+    balls = g.balls
+    rem = ((1 << g.n) - 1) ^ mask
+    while rem:
+        low = rem & -rem
+        if not balls[low.bit_length() - 1][r] & mask:
+            return False
+        rem ^= low
+    return True
 
 
 def subset_loop_profile(g: Graph) -> IsoProfile:
@@ -77,8 +99,14 @@ def loop_profile():
 
 @pytest.fixture(scope="session")
 def oracle():
-    """The solver-free ``(b, CL)`` search, :func:`exhaustive_b_cl`."""
+    """The solver-free ``(b, CL, S)`` search, :func:`exhaustive_b_cl`."""
     return exhaustive_b_cl
+
+
+@pytest.fixture(scope="session")
+def within_scan():
+    """The per-node eccentricity scan, :func:`within_by_scan`."""
+    return within_by_scan
 
 
 @pytest.fixture(scope="session")

@@ -139,8 +139,8 @@ def test_acceptance_05b_burning_equals_cooling_on_diameter_two(corpus_with_cl, o
     )
     star = gen_complete_caterpillar(3)
     got = (burning_number(star).value, cooling_number(star).value)
-    assert got == oracle(star) == (2, 3), (
-        f"3-leaf star: (b, CL) = {got}, oracle {oracle(star)}; it should be (2, 3), "
+    assert got == oracle(star)[:2] == (2, 3), (
+        f"3-leaf star: (b, CL) = {got}, oracle {oracle(star)[:2]}; it should be (2, 3), "
         "the smallest counterexample to b == CL on diameter two"
     )
     report("5b diameter-two relation",

@@ -143,6 +143,16 @@ class TestSolverCommands:
         assert code == 1 and out == ""
         assert err == "COOLNUM_MAX_NODES must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("cap", ["-3", "0"])
+    def test_cap_below_one_exit_one(self, c8, cap, monkeypatch):
+        want = f"node cap must be a positive integer, got {cap}\n"
+        for cmd in ("exact", "burn"):
+            code, out, err = run_cli(cmd, "--in", str(c8), "--max-nodes", cap)
+            assert (code, out, err) == (1, "", want)
+        monkeypatch.setenv("COOLNUM_MAX_NODES", cap)
+        code, out, err = run_cli("seqlen", "--in", str(c8))
+        assert (code, out, err) == (1, "", want)
+
     def test_burn_takes_no_search_flags(self, tmp_path):
         path = tmp_path / "p9.json"
         write_graph(gen_path(9), path)

@@ -81,3 +81,13 @@ def test_any_run_obeys_counting_and_diameter_limits(g, rng):
     assert trace.num_rounds - len(trace.sources) in (0, 1)
     # replaying the recorded sources reproduces the trace exactly
     assert validate_sequence(g, trace.sources) == trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(max_n=8), st.booleans())
+def test_solvers_match_the_solver_free_oracle(oracle, g, prune):
+    # oracle shares no code with the solver: it tries every mandatory-source run
+    b, cl, most_sources = oracle(g)
+    assert cooling_number(g, prune=prune).value == cl
+    assert max_sequence_length(g, prune=prune).value == most_sources
+    assert burning_number(g).value == b

@@ -133,6 +133,19 @@ class TestCoolingNumber:
         with pytest.raises(ValueError, match="COOLNUM_MAX_NODES"):
             burning_number(gen_path(5))
 
+    @pytest.mark.parametrize("cap", [-3, 0])
+    def test_cap_below_one_refused(self, cap, monkeypatch):
+        want = f"^node cap must be a positive integer, got {cap}$"
+        with pytest.raises(ValueError, match=want) as err:
+            cooling_number(gen_path(5), SearchLimits(max_nodes=cap))
+        assert not isinstance(err.value, GraphTooLargeError)
+        with pytest.raises(ValueError, match=want):
+            burning_number(gen_path(5), SearchLimits(max_nodes=cap))
+        monkeypatch.setenv("COOLNUM_MAX_NODES", str(cap))
+        with pytest.raises(ValueError, match=want) as err:
+            max_sequence_length(gen_path(5))
+        assert not isinstance(err.value, GraphTooLargeError)
+
     def test_explicit_cap_beats_env_cap(self, monkeypatch):
         monkeypatch.setenv("COOLNUM_MAX_NODES", "5")
         assert cooling_number(gen_path(8), SearchLimits(max_nodes=8)).value == 5
@@ -195,10 +208,31 @@ class TestPinnedWork:
     def test_grid5(self):
         stats = cooling_number(gen_grid(5), self.LIMITS).stats
         assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (130, 529, 6)
+        assert stats.memo_size == 130
 
     def test_cycle24(self):
         stats = cooling_number(gen_cycle(24), self.LIMITS).stats
         assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (587, 2421, 11)
+        assert stats.memo_size == 587
+
+    @pytest.mark.parametrize("solve, graph, pinned", [
+        (cooling_number, gen_grid(6), (8, 1482, 2654, 9251, 13)),
+        (max_sequence_length, gen_grid(6), (8, 237, 265, 2124, 13)),
+        (cooling_number, gen_spider(4, 4), (7, 699, 1278, 993, 209)),
+        (max_sequence_length, gen_cycle(18), (6, 85, 36, 286, 16)),
+    ], ids=["grid6", "seqlen-grid6", "spider-4x4", "seqlen-cycle18"])
+    def test_search_workload_instances(self, solve, graph, pinned):
+        res = solve(graph, SearchLimits(max_nodes=36))
+        s = res.stats
+        assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
+
+    def test_memo_size_without_lookups_and_for_burning(self):
+        # with lookups off a state can be expanded more than once, but the
+        # memo keeps one entry per state: as many as the search with lookups
+        stats = cooling_number(gen_grid(4), use_memo=False).stats
+        assert (stats.expanded, stats.memo_size) == (36, 22)
+        assert cooling_number(gen_grid(4)).stats.memo_size == 22
+        assert burning_number(gen_grid(4)).stats.memo_size == 0
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
@@ -239,7 +273,7 @@ def ecc_by_bfs(g, mask):
         frontier = nxt
 
 
-def test_within_matches_bfs_eccentricity(corpus):
+def test_within_matches_bfs_eccentricity(corpus, within_scan):
     rng = random.Random(23)
     graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
     for g in graphs:
@@ -248,7 +282,29 @@ def test_within_matches_bfs_eccentricity(corpus):
             mask = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
             ecc = ecc_by_bfs(g, mask)
             for r in range(diameter(g) + 1):
-                assert search._within(mask, r) == (ecc <= r), (g.adj, mask, r)
+                assert (search._reach(mask, r) == search.full) == (ecc <= r), (g.adj, mask, r)
+                assert within_scan(g, mask, r) == (ecc <= r), (g.adj, mask, r)
+
+
+def test_child_test_by_ball_union_matches_scan(corpus, within_scan):
+    """The search's per-child test, ``reach(B, r + 1) | ball(s, r) == full``,
+    says the same as scanning every node of the child ``N[B] | {s}``, for
+    every source ``s`` outside ``N[B]`` and every radius up to the diameter
+    (the search uses ``value - 1`` for rounds and ``value`` for sources)."""
+    rng = random.Random(29)
+    graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
+    for g in graphs:
+        search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
+        for _ in range(5):
+            boundary = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n // 2 + 1)))
+            after = search._spread(boundary)
+            lows = [s for s in range(g.n) if not after >> s & 1]
+            for r in range(diameter(g) + 1):
+                reach = search._reach(boundary, r + 1)
+                for s in lows:
+                    child = after | 1 << s
+                    assert ((reach | g.balls[s][r]) == search.full) == within_scan(g, child, r), \
+                        (g.adj, boundary, s, r)
 
 
 class TestMaxSequenceLength:

@@ -5,7 +5,9 @@ Library layout: :mod:`coolnum.graphs` (graph type and metrics),
 transitivity), :mod:`coolnum.graph_io` (files), :mod:`coolnum.engine`
 (process semantics), :mod:`coolnum.solver` (exact values),
 :mod:`coolnum.bounds` (isoperimetric machinery), :mod:`coolnum.strategies`
-(constructive strategies), :mod:`coolnum.cli` (command line).
+(constructive strategies), :mod:`coolnum.corpus` (the fixed check graphs),
+:mod:`coolnum.verify` (one check suite per paper claim), :mod:`coolnum.cli`
+(command line).
 """
 
 from .bounds import (

@@ -23,11 +23,7 @@ from typing import AbstractSet, NamedTuple
 
 from .generators import gen_grid, simplicial_order
 from .graphs import DisconnectedGraphError, Graph, GraphError, diameter
-from .solver import (
-    DEFAULT_BURNING_MAX_NODES,
-    SearchLimits,
-    burning_number,
-)
+from .solver import GraphTooLargeError, SearchLimits, burning_number
 
 DEFAULT_PROFILE_CAP = 16
 
@@ -253,9 +249,12 @@ class BoundsReport:
 
 
 def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP,
-                  burning_cap: int = DEFAULT_BURNING_MAX_NODES,
                   include_burning: bool = True) -> BoundsReport:
-    """Assemble all computable bounds, listing the ones skipped for size."""
+    """Assemble all computable bounds, listing the ones skipped for size.
+
+    The burning search takes the solver's node cap (``COOLNUM_MAX_NODES`` or
+    its default); a graph above it skips ``burning_lower``.
+    """
     if not g.is_connected:
         raise DisconnectedGraphError("bounds need a connected graph")
     d = diameter(g)
@@ -268,9 +267,12 @@ def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP,
     else:
         skipped.append("iso_upper")
     burn = None
-    if include_burning and g.n <= burning_cap:
-        burn = burning_number(g, SearchLimits(max_nodes=burning_cap)).value
-    else:
+    if include_burning:
+        try:
+            burn = burning_number(g, SearchLimits()).value
+        except GraphTooLargeError:
+            pass
+    if burn is None:
         skipped.append("burning_lower")
     return BoundsReport(
         n=g.n,

@@ -115,6 +115,8 @@ class _MaxSearch:
 
     def __init__(self, g: Graph, objective: int, prune: bool, use_memo: bool,
                  deadline: float | None):
+        self.n = g.n
+        self.distances = g.distances
         self.masks = g.neighbor_masks
         self.balls = g.balls
         self.full = (1 << g.n) - 1
@@ -217,40 +219,32 @@ class _MaxSearch:
             state = self._spread(state) | (1 << choice)
         return seq
 
+    @property
+    def global_cap(self) -> int:
+        """Most rounds (``diameter + 1``) or sources (``diameter``) any run of a
+        connected graph with at least two nodes can have, capped by counting."""
+        if self.objective == _ROUNDS:
+            return min(self.top + 1, (self.n + 2) // 2)
+        return min(self.top, (self.n + 1) // 2)
 
-def _global_cap(g: Graph, objective: int) -> int:
-    """Most rounds (``diameter + 1``) or sources (``diameter``) any run of the
-    connected graph ``g`` with at least two nodes can have, capped by counting."""
-    diameter = max(map(max, g.distances))
-    if objective == _ROUNDS:
-        return min(diameter + 1, (g.n + 2) // 2)
-    return min(diameter, (g.n + 1) // 2)
+    def solve(self, roots: list[int]) -> tuple[int, list[int]]:
+        """Search the given first-source choices; ties go to the lowest root.
 
-
-def _solve_roots(g: Graph, objective: int, roots: list[int], prune: bool,
-                 use_memo: bool, deadline: float | None, global_cap: int,
-                 ) -> tuple[int, list[int], tuple[int, int, int, int, int]]:
-    """Search the given first-source choices; ties go to the lowest root.
-
-    Returns the value, the witness sources and the counters
-    ``(expanded, memo_hits, ecc_cuts, counting_cuts, memo_size)``.
-    """
-    search = _MaxSearch(g, objective, prune, use_memo, deadline)
-    n = g.n
-    best, best_root = 0, -1
-    for s in roots:
-        if prune and best_root >= 0:
-            counting = (n + 1) // 2 if objective == _ROUNDS else (n - 1) // 2
-            if best >= 1 + min(counting, max(g.distances[s]) - search.slack):
-                continue  # this root cannot strictly beat the incumbent
-        v = 1 + search.best_from(1 << s)
-        if v > best:
-            best, best_root = v, s
-            if prune and best >= global_cap:
-                break
-    counts = (search.expanded, search.memo_hits, search.ecc_cuts, search.counting_cuts,
-              len(search.memo))
-    return best, search.reconstruct(best_root), counts
+        Returns the value and the witness sources; the work counters stay
+        on the search."""
+        n, cap = self.n, self.global_cap
+        counting = (n + 1) // 2 if self.objective == _ROUNDS else (n - 1) // 2
+        best, best_root = 0, -1
+        for s in roots:
+            if self.prune and best_root >= 0:
+                if best >= 1 + min(counting, max(self.distances[s]) - self.slack):
+                    continue  # this root cannot strictly beat the incumbent
+            v = 1 + self.best_from(1 << s)
+            if v > best:
+                best, best_root = v, s
+                if self.prune and best >= cap:
+                    break
+        return best, self.reconstruct(best_root)
 
 
 def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchLimits:
@@ -302,17 +296,17 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     for s in listed:
         kept.setdefault(g.orbits[s], s)
     roots = list(kept.values())
-    value, seq, counts = _solve_roots(g, objective, roots, prune, use_memo, deadline,
-                                      _global_cap(g, objective))
+    search = _MaxSearch(g, objective, prune, use_memo, deadline)
+    value, seq = search.solve(roots)
 
     trace = validate_sequence(g, seq)
     achieved = trace.num_rounds if objective == _ROUNDS else len(trace.sources)
     if achieved != value:
         raise AssertionError(f"witness replay gave {achieved}, search said {value}")
-    expanded, hits, ecc_cuts, counting_cuts, memo_size = counts
     return SearchResult(value, trace,
-                        SearchStats(expanded, hits, time.monotonic() - start, len(roots),
-                                    ecc_cuts, counting_cuts, memo_size))
+                        SearchStats(search.expanded, search.memo_hits, time.monotonic() - start,
+                                    len(roots), search.ecc_cuts, search.counting_cuts,
+                                    len(search.memo)))
 
 
 def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,

@@ -70,11 +70,13 @@ class ClosedForm:
 def closed_form(family: str, params: Mapping[str, int]) -> ClosedForm:
     """Certified cooling-number value or window for a named family.
 
-    Spiders get the lower bound ``2 * sum(floor((r + 1) / 2**i), i = 1..m)``
-    that :func:`spider_strategy`'s schedule meets, for every ``(m, r)``. No
-    exact value is certified: the value ``2r + 1`` once claimed from
-    ``m >= ceil(log2(r + 1))`` on is false at ``(1, 1)``, ``(2, 2)`` and
-    ``(2, 3)``, where the cooling number is ``2r``.
+    Spiders get a lower bound that :func:`spider_strategy`'s schedule meets:
+    the larger of ``2 * sum(floor((r + 1) / 2**i), i = 1..m)`` and the
+    diameter bound ``r + 1`` (two legs of length ``r`` give diameter ``2r``,
+    and ``CL >= ceil((diam + 2) / 2)``). At ``m = 1`` the spider is a path
+    and ``r + 1`` is its value. No exact value is certified: the value
+    ``2r + 1`` once claimed from ``m >= ceil(log2(r + 1))`` on is false at
+    ``(1, 1)``, ``(2, 2)`` and ``(2, 3)``, where the cooling number is ``2r``.
     """
     p = dict(params)
     if family == "path":
@@ -99,7 +101,7 @@ def closed_form(family: str, params: Mapping[str, int]) -> ClosedForm:
         if m < 1 or r < 1:
             raise GraphError("spider forms need m >= 1 and r >= 1")
         lo = 2 * sum((r + 1) // 2**i for i in range(1, m + 1))
-        return ClosedForm("spider", p, "lower_bound", lo, None)
+        return ClosedForm("spider", p, "lower_bound", max(lo, r + 1), None)
     if family == "grid":
         n = p["n"]
         return grid_cl_window(n)

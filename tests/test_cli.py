@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from coolnum import verify
 from coolnum.cli import main
 from coolnum.engine import read_trace, validate_sequence
 from coolnum.graph_io import read_graph, write_graph
@@ -200,6 +201,24 @@ class TestBoundsCommand:
         obj = json.loads(out)
         assert obj["order_upper"] == 6 and obj["diam_lower"] == 6
 
+    def test_env_cap_skips_burning(self, tmp_path, monkeypatch):
+        path = tmp_path / "p10.json"
+        write_graph(gen_path(10), path)
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "5")
+        assert run_cli("exact", "--in", str(path))[0] == 2
+        code, out, _ = run_cli("bounds", "--in", str(path))
+        obj = json.loads(out)
+        assert code == 0 and obj["burning_lower"] is None
+        assert obj["skipped"] == ["burning_lower"]
+
+    def test_non_integer_env_cap_exit_one(self, tmp_path, monkeypatch):
+        path = tmp_path / "p10.json"
+        write_graph(gen_path(10), path)
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "abc")
+        code, out, err = run_cli("bounds", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err == "COOLNUM_MAX_NODES must be an integer, got 'abc'\n"
+
     def test_grid3_has_iso_bound(self, tmp_path):
         from coolnum.generators import gen_grid
 
@@ -249,19 +268,47 @@ class TestVerifyCommand:
         assert code == 5
         assert "unknown suite" in err
 
-    def test_reference_traces_suite_passes(self):
-        code, out, _ = run_cli("verify", "reference-traces")
-        assert code == 0
-        assert "FAIL" not in out
+    # every row of every suite, as `coolnum verify <suite>` prints it after "ok   <suite>: "
+    ROWS = {
+        "path-formula": ["cooling of paths [14/14]"],
+        "cycle-formula": ["cooling of cycles [12/12]"],
+        "caterpillar": ["solver value [5/5]", "strategy achieves it [5/5]"],
+        "bounds-sandwich": ["diameter/order sandwich [217/217]"],
+        "burning-cross": [
+            "b <= CL everywhere [217/217]",
+            "b, CL <= 3 by non-neighbours when diameter <= 2 [75/75]",
+            "3-leaf star has b < CL [1/1]",
+            "b(P_9) == 3 [1/1]",
+        ],
+        "iso-smoothness": [
+            "border smoothness [217/217]",
+            "recurrence upper bound [217/217]",
+            "tight on paths [14/14]",
+        ],
+        "grid-window": ["strategy rounds inside window [39/39]"],
+        "grid-profile": ["simplicial profile matches enumeration [3/3]"],
+        "grid-solver": ["simplicial strategy is optimal [3/3]"],
+        "ilt": [
+            "path formula [6/6]",
+            "path strategy [8/8]",
+            "one step never decreases [217/217]",
+            "second step fixes sequence length [4/4]",
+            "later steps add at most one round [4/4]",
+        ],
+        "spider": [
+            "strategy meets the certified lower bound [21/21]",
+            "exact value above the log threshold (2r or 2r+1) [6/6]",
+            "certified form contains the exact value [6/6]",
+        ],
+        "reference-traces": ["caterpillar reference run [2/2]", "ilt path reference run [2/2]"],
+        "determinism": ["exact twice with --jobs 2 [2/2]"],
+    }
 
-    def test_grid_profile_suite_passes(self):
-        code, out, _ = run_cli("verify", "grid-profile")
-        assert code == 0
-
-    def test_bounds_sandwich_suite_passes(self):
-        code, out, _ = run_cli("verify", "bounds-sandwich")
-        assert code == 0
-        assert "FAIL" not in out
+    @pytest.mark.parametrize("suite", list(verify.SUITES))
+    def test_suite_stdout_pinned(self, suite):
+        code, out, err = run_cli("verify", suite)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"ok   {suite}: {row}\n" for row in self.ROWS[suite])
 
 
 class TestDeterminism:

@@ -26,9 +26,7 @@ def complete_graph(n):
 
 def all_roots(g, objective):
     """``(value, sources)`` of the search from every first source, no orbit reduction."""
-    value, seq, _ = solver._solve_roots(g, objective, list(range(g.n)), True, True,
-                                        None, solver._global_cap(g, objective))
-    return value, seq
+    return solver._MaxSearch(g, objective, True, True, None).solve(list(range(g.n)))
 
 
 def small_sample():
@@ -457,10 +455,10 @@ class TestOrbitReduction:
 
     def test_fewer_states_than_all_roots(self):
         g = gen_cycle(16)
-        # a global cap of n never cuts the root loop short
-        _, _, (expanded, *_) = solver._solve_roots(g, solver._ROUNDS, list(range(g.n)), True,
-                                                   True, None, g.n)
-        assert cooling_number(g).stats.expanded < expanded
+        # CL = 6 stays below the global cap of 9, which never cuts the root loop short
+        search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
+        search.solve(list(range(g.n)))
+        assert cooling_number(g).stats.expanded < search.expanded
 
 
 class TestBoundsDuringSearch:
@@ -471,17 +469,20 @@ class TestBoundsDuringSearch:
             assert (d + 3) // 2 <= cl <= min(d + 1, (g.n + 2) // 2)
 
     def test_global_caps_hold_and_are_met(self, corpus):
+        def global_cap(g, objective):
+            return solver._MaxSearch(g, objective, True, True, None).global_cap
+
         for name, g in corpus:
             if g.n > 1:
                 for objective, solve in ((solver._ROUNDS, cooling_number),
                                          (solver._SOURCES, max_sequence_length)):
-                    assert solve(g).value <= solver._global_cap(g, objective), name
+                    assert solve(g).value <= global_cap(g, objective), name
         # on these sparse graphs a run reaches d + 1 rounds with d sources
         for i in (2, 11, 13):
             g = search_pool_graph(i)
             d = diameter(g)
-            assert solver._global_cap(g, solver._ROUNDS) == d + 1
-            assert solver._global_cap(g, solver._SOURCES) == d
+            assert global_cap(g, solver._ROUNDS) == d + 1
+            assert global_cap(g, solver._SOURCES) == d
             assert cooling_number(g, SearchLimits(max_nodes=40)).value == d + 1, i
             assert max_sequence_length(g, SearchLimits(max_nodes=40)).value == d, i
 

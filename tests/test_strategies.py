@@ -329,7 +329,7 @@ class TestClosedForm:
         low = closed_form("spider", {"m": 2, "r": 7})
         assert low.kind == "lower_bound" and low.lo == 12
         above = closed_form("spider", {"m": 2, "r": 2})  # above the log threshold
-        assert above.kind == "lower_bound" and above.lo == 2
+        assert above.kind == "lower_bound" and above.lo == 3  # diameter bound r + 1
         assert above.contains(oracle(gen_spider(4, 2))[1])  # CL = 4, not 2r + 1 = 5
 
     def test_spider_form_contains_exact_value(self):

@@ -248,8 +248,7 @@ class BoundsReport:
         }
 
 
-def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP,
-                  include_burning: bool = True) -> BoundsReport:
+def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP) -> BoundsReport:
     """Assemble all computable bounds, listing the ones skipped for size.
 
     The burning search takes the solver's node cap (``COOLNUM_MAX_NODES`` or
@@ -267,12 +266,9 @@ def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP,
     else:
         skipped.append("iso_upper")
     burn = None
-    if include_burning:
-        try:
-            burn = burning_number(g, SearchLimits()).value
-        except GraphTooLargeError:
-            pass
-    if burn is None:
+    try:
+        burn = burning_number(g, SearchLimits()).value
+    except GraphTooLargeError:
         skipped.append("burning_lower")
     return BoundsReport(
         n=g.n,

@@ -37,15 +37,7 @@ from .solver import (
     cooling_number,
     max_sequence_length,
 )
-from .strategies import (
-    StrategyError,
-    caterpillar_strategy_trace,
-    closed_form,
-    grid_cl_window,
-    grid_simplicial_strategy,
-    ilt_path_strategy_trace,
-    spider_strategy,
-)
+from .strategies import FORMS, StrategyError, closed_form, path_diameter_strategy
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -132,39 +124,28 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+# strategy name -> its closed_form family; path-diameter is the one strategy
+# outside the table, since it runs on any graph given by --in
+STRATEGIES = {row.strategy: family for family, row in FORMS.items() if row.strategy}
+
+
 def cmd_strategy(args) -> int:
     name = args.name
     certified = None
-    if name == "grid-simplicial":
-        if args.n is None:
-            raise StrategyError("grid-simplicial needs --n")
-        trace = grid_simplicial_strategy(args.n)
-        if args.n >= 2:
-            certified = grid_cl_window(args.n)
-    elif name == "path-diameter":
+    if name == "path-diameter":
         if not args.graph_in:
             raise StrategyError("path-diameter needs --in")
-        from .strategies import path_diameter_strategy
-
         g = read_graph(args.graph_in)
         trace = validate_sequence(g, path_diameter_strategy(g))
-    elif name == "caterpillar":
-        if args.d is None:
-            raise StrategyError("caterpillar needs --d")
-        trace = caterpillar_strategy_trace(args.d)
-        certified = closed_form("caterpillar", {"d": args.d})
-    elif name == "spider":
-        if args.m is None or args.r is None:
-            raise StrategyError("spider needs --m and --r")
-        res = spider_strategy(args.m, args.r)
-        trace, certified = res.trace, res.certified
-    elif name == "ilt-path":
-        if args.n is None or args.t is None:
-            raise StrategyError("ilt-path needs --n and --t")
-        trace = ilt_path_strategy_trace(args.n, args.t)
-        certified = closed_form("ilt_path", {"n": args.n, "t": args.t})
-    else:  # pragma: no cover - argparse restricts choices
-        raise StrategyError(f"unknown strategy {name}")
+    else:
+        family = STRATEGIES[name]
+        row = FORMS[family]
+        params = {flag: getattr(args, flag) for flag, _ in row.params}
+        if None in params.values():
+            raise StrategyError(f"{name} needs {' and '.join(f'--{flag}' for flag in params)}")
+        trace = row.run(*params.values())  # its own errors come first
+        if row.admits(params):
+            certified = closed_form(family, params)
     if args.trace_out:
         write_trace(trace, args.trace_out)
     obj = {"command": "strategy", "name": name, "rounds": trace.num_rounds,
@@ -233,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("strategy", help="run a named strategy and report its rounds")
-    p.add_argument("name", choices=["grid-simplicial", "path-diameter", "caterpillar",
-                                    "spider", "ilt-path"])
+    names = list(STRATEGIES)  # path-diameter is listed second
+    p.add_argument("name", choices=[names[0], "path-diameter", *names[1:]])
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)

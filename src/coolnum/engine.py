@@ -160,11 +160,6 @@ def validate_sequence(g: Graph, seq: list[int] | tuple[int, ...]) -> CoolingTrac
     return trace
 
 
-def smallest_uncooled_policy(g: Graph, cooled: AbstractSet[int], t: int) -> None:
-    """Baseline policy: always take the engine's smallest-uncooled fallback."""
-    return None
-
-
 def spread_step(g: Graph, cooled: AbstractSet[int]) -> frozenset[int]:
     """One pure spread step: ``cooled`` together with all its neighbors."""
     if not cooled:

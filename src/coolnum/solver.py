@@ -84,9 +84,7 @@ class SearchStats:
     cooling-side searches ran, one per automorphism orbit found among the
     listed ones. ``ecc_cuts`` counts children skipped by the eccentricity
     bound and ``counting_cuts`` the child loops stopped by the counting
-    bound. ``memo_size`` is the number of memo entries at the end of the
-    search, which is also its peak, since the memo only grows. All four are
-    0 for burning."""
+    bound. All three are 0 for burning."""
 
     expanded: int
     memo_hits: int
@@ -94,7 +92,6 @@ class SearchStats:
     roots: int = 0
     ecc_cuts: int = 0
     counting_cuts: int = 0
-    memo_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -305,8 +302,7 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
         raise AssertionError(f"witness replay gave {achieved}, search said {value}")
     return SearchResult(value, trace,
                         SearchStats(search.expanded, search.memo_hits, time.monotonic() - start,
-                                    len(roots), search.ecc_cuts, search.counting_cuts,
-                                    len(search.memo)))
+                                    len(roots), search.ecc_cuts, search.counting_cuts))
 
 
 def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,

@@ -4,18 +4,21 @@ Each strategy either emits an explicit source sequence (playable through
 ``validate_sequence``, which auto-extends once the scripted part is done) or
 a policy driven directly by ``run_cooling``. Round counts of these runs are
 lower bounds on the cooling number by definition; for grids and complete
-caterpillars they are exactly optimal.
+caterpillars they are exactly optimal. The certified families are one
+table, :data:`FORMS`, which :func:`closed_form`, ``coolnum strategy`` and
+the verification suites read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Callable, Mapping
 
 from .bounds import grid_iso_upper_bound
 from .engine import CoolingTrace, run_cooling, validate_sequence
 from .generators import (
     gen_complete_caterpillar,
+    gen_cycle,
     gen_grid,
     gen_path,
     gen_spider,
@@ -68,52 +71,30 @@ class ClosedForm:
 
 
 def closed_form(family: str, params: Mapping[str, int]) -> ClosedForm:
-    """Certified cooling-number value or window for a named family.
+    """Certified cooling-number value or window for a family of :data:`FORMS`.
 
-    Spiders get a lower bound that :func:`spider_strategy`'s schedule meets:
-    the larger of ``2 * sum(floor((r + 1) / 2**i), i = 1..m)`` and the
-    diameter bound ``r + 1`` (two legs of length ``r`` give diameter ``2r``,
-    and ``CL >= ceil((diam + 2) / 2)``). At ``m = 1`` the spider is a path
-    and ``r + 1`` is its value. No exact value is certified: the value
-    ``2r + 1`` once claimed from ``m >= ceil(log2(r + 1))`` on is false at
-    ``(1, 1)``, ``(2, 2)`` and ``(2, 3)``, where the cooling number is ``2r``.
+    Raises ``GraphError`` when a parameter is below its least allowed value
+    and ``StrategyError`` for a family the table does not hold.
     """
+    row = FORMS.get(family)
+    if row is None:
+        raise StrategyError(f"unknown family {family!r}")
     p = dict(params)
-    if family == "path":
-        n = p["n"]
-        if n < 1:
-            raise GraphError("path needs n >= 1")
-        v = (n + 2) // 2
-        return ClosedForm("path", p, "exact", v, v)
-    if family == "cycle":
-        n = p["n"]
-        if n < 3:
-            raise GraphError("cycle needs n >= 3")
-        v = (n + 4) // 3
-        return ClosedForm("cycle", p, "exact", v, v)
-    if family == "caterpillar":
-        d = p["d"]
-        if d < 3:
-            raise GraphError("complete caterpillar needs d >= 3")
-        return ClosedForm("caterpillar", p, "exact", d, d)
-    if family == "spider":
-        m, r = p["m"], p["r"]
-        if m < 1 or r < 1:
-            raise GraphError("spider forms need m >= 1 and r >= 1")
-        lo = 2 * sum((r + 1) // 2**i for i in range(1, m + 1))
-        return ClosedForm("spider", p, "lower_bound", max(lo, r + 1), None)
-    if family == "grid":
-        n = p["n"]
-        return grid_cl_window(n)
-    if family == "ilt_path":
-        n, t = p["n"], p["t"]
-        if n < 3 or t < 1:
-            raise GraphError("ilt_path forms need n >= 3 and t >= 1")
-        v = (2 * n + 2) // 3
-        if not (t == 1 and n % 3 == 2):
-            v += 1
-        return ClosedForm("ilt_path", p, "exact", v, v)
-    raise StrategyError(f"unknown family {family!r}")
+    if not row.admits(p):
+        need = " and ".join(f"{name} >= {least}" for name, least in row.params)
+        got = ", ".join(f"{name}={p[name]}" for name, _ in row.params)
+        raise GraphError(f"{family} forms need {need}, got {got}")
+    kind, lo, hi = row.form(*(p[name] for name, _ in row.params))
+    return ClosedForm(family, p, kind, lo, hi)
+
+
+def _exact(v: int) -> tuple[str, int, int]:
+    return "exact", v, v
+
+
+def _grid_window(n: int) -> tuple[str, int, int]:
+    lo = 2 * n - 2 * ((n + 3).bit_length() - 1)
+    return "window", lo, max(lo + 2, grid_iso_upper_bound(n).value)
 
 
 def grid_cl_window(n: int) -> ClosedForm:
@@ -126,11 +107,27 @@ def grid_cl_window(n: int) -> ClosedForm:
     ``n >= 2``: at ``n = 1`` the formula underflows while the actual value
     is 1.
     """
-    if n < 2:
-        raise GraphError(f"grid window needs n >= 2, got {n}")
-    lo = 2 * n - 2 * ((n + 3).bit_length() - 1)
-    hi = max(lo + 2, grid_iso_upper_bound(n).value)
-    return ClosedForm("grid", {"n": n}, "window", lo, hi)
+    return closed_form("grid", {"n": n})
+
+
+def _spider_lower_bound(m: int, r: int) -> tuple[str, int, None]:
+    """The larger of ``2 * sum(floor((r + 1) / 2**i), i = 1..m)``, which
+    :func:`spider_strategy`'s schedule meets, and the diameter bound
+    ``r + 1`` (two legs of length ``r`` give diameter ``2r``, and
+    ``CL >= ceil((diam + 2) / 2)``). At ``m = 1`` the spider is a path and
+    ``r + 1`` is its value. No exact value is certified: the value
+    ``2r + 1`` once claimed from ``m >= ceil(log2(r + 1))`` on is false at
+    ``(1, 1)``, ``(2, 2)`` and ``(2, 3)``, where the cooling number is ``2r``.
+    """
+    lo = 2 * sum((r + 1) // 2**i for i in range(1, m + 1))
+    return "lower_bound", max(lo, r + 1), None
+
+
+def _ilt_path_value(n: int, t: int) -> tuple[str, int, int]:
+    v = (2 * n + 2) // 3
+    if not (t == 1 and n % 3 == 2):
+        v += 1
+    return _exact(v)
 
 
 class _SimplicialPolicy:
@@ -151,8 +148,6 @@ class _SimplicialPolicy:
 def grid_simplicial_strategy(n: int) -> CoolingTrace:
     """Cool the n x n grid by simplicial order; the round count equals its
     cooling number."""
-    if n < 1:
-        raise GraphError(f"grid needs n >= 1, got {n}")
     return run_cooling(gen_grid(n), _SimplicialPolicy(simplicial_order(n)))
 
 
@@ -307,11 +302,47 @@ def ilt_lift_sequence(seq: list[int] | tuple[int, ...], source: IltGraph,
     return out
 
 
-# small drivers used by the CLI and the verification suites
-
 def caterpillar_strategy_trace(d: int) -> CoolingTrace:
     return validate_sequence(gen_complete_caterpillar(d), caterpillar_strategy(d))
 
 
 def ilt_path_strategy_trace(n: int, t: int) -> CoolingTrace:
     return validate_sequence(ilt_t(gen_path(n), t).graph, ilt_path_strategy(n, t))
+
+
+@dataclass(frozen=True)
+class FamilyForm:
+    """One certified family: its parameters, member graph, closed form and,
+    where one exists, the ``coolnum strategy`` run that the form bounds.
+
+    ``params`` lists ``(name, least allowed value)`` in the order that
+    ``graph``, ``form`` and ``run`` take them; the names are also the
+    ``coolnum strategy`` flags. ``form`` returns ``(kind, lo, hi)`` as in
+    :class:`ClosedForm`.
+    """
+
+    params: tuple[tuple[str, int], ...]
+    graph: Callable[..., Graph]
+    form: Callable[..., tuple[str, int, int | None]]
+    strategy: str | None = None
+    run: Callable[..., CoolingTrace] | None = None
+
+    def admits(self, params: Mapping[str, int]) -> bool:
+        """Whether every parameter is at least its least allowed value."""
+        return all(params[name] >= least for name, least in self.params)
+
+
+# closed_form family -> row; the families with a strategy list it in the
+# order that ``coolnum strategy`` offers them
+FORMS = {
+    "path": FamilyForm((("n", 1),), gen_path, lambda n: _exact((n + 2) // 2)),
+    "cycle": FamilyForm((("n", 3),), gen_cycle, lambda n: _exact((n + 4) // 3)),
+    "grid": FamilyForm((("n", 2),), gen_grid, _grid_window,
+                       "grid-simplicial", grid_simplicial_strategy),
+    "caterpillar": FamilyForm((("d", 3),), gen_complete_caterpillar, _exact,
+                              "caterpillar", caterpillar_strategy_trace),
+    "spider": FamilyForm((("m", 1), ("r", 1)), lambda m, r: gen_spider(2 * m, r),
+                         _spider_lower_bound, "spider", lambda m, r: spider_strategy(m, r).trace),
+    "ilt_path": FamilyForm((("n", 3), ("t", 1)), lambda n, t: ilt_t(gen_path(n), t).graph,
+                           _ilt_path_value, "ilt-path", ilt_path_strategy_trace),
+}

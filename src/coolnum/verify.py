@@ -18,22 +18,17 @@ from __future__ import annotations
 import io
 from contextlib import redirect_stdout
 from dataclasses import dataclass, field
+from functools import cache
+from itertools import product
 
 from .bounds import grid_iso_profile, iso_profile_exact, iso_upper_bound
 from .corpus import build_corpus
 from .engine import validate_sequence
-from .generators import gen_complete_caterpillar, gen_cycle, gen_grid, gen_path, gen_spider
+from .generators import gen_complete_caterpillar, gen_grid, gen_path, gen_spider
 from .graphs import Graph, build_graph, diameter
 from .ilt import ilt, ilt_t
-from .solver import SearchLimits, burning_number, cooling_number, max_sequence_length
-from .strategies import (
-    caterpillar_strategy_trace,
-    closed_form,
-    grid_cl_window,
-    grid_simplicial_strategy,
-    ilt_path_strategy_trace,
-    spider_strategy,
-)
+from .solver import SearchLimits, SearchResult, burning_number, cooling_number, max_sequence_length
+from .strategies import FORMS, closed_form, grid_simplicial_strategy
 
 
 @dataclass
@@ -67,42 +62,60 @@ def _check(name: str, cases) -> CheckRow:
     return row
 
 
-def _solver_cases(label: str, family: str, param: str, build, values):
-    """The solver's value on ``build(v)`` against the family's closed form."""
-    for v in values:
-        got = cooling_number(build(v)).value
-        want = closed_form(family, {param: v}).lo
-        yield f"{label}_{v}: solver {got} vs {want}", got == want
+def _forms(family: str, instances):
+    """(label, parameter values, closed form) for each instance of a family
+    of :data:`~coolnum.strategies.FORMS`; an instance is a tuple of values in
+    the row's parameter order."""
+    names = [name for name, _ in FORMS[family].params]
+    for args in instances:
+        params = dict(zip(names, args))
+        label = ", ".join(f"{name}={v}" for name, v in params.items())
+        yield f"{family}({label})", args, closed_form(family, params)
+
+
+def _solver_cases(family: str, instances, limits: SearchLimits | None = None):
+    """The solver's value on each member graph against its closed form."""
+    for label, args, form in _forms(family, instances):
+        got = cooling_number(FORMS[family].graph(*args), limits).value
+        yield f"{label}: solver {got} vs {form.lo}", got == form.lo
+
+
+def _strategy_cases(family: str, instances):
+    """The family's strategy rounds against its closed form."""
+    for label, args, form in _forms(family, instances):
+        rounds = FORMS[family].run(*args).num_rounds
+        yield f"{label}: strategy {rounds} in {form.kind} [{form.lo}, {form.hi}]", \
+            form.contains(rounds)
+
+
+@cache
+def _corpus_solved() -> tuple[tuple[str, Graph, SearchResult], ...]:
+    """The corpus with each graph's cooling number, solved once per process
+    for the suites that share it."""
+    return tuple((name, g, cooling_number(g)) for name, g in build_corpus())
 
 
 def suite_path_formula() -> SuiteReport:
     return SuiteReport("path-formula", [
-        _check("cooling of paths", _solver_cases("P", "path", "n", gen_path, range(1, 15)))])
+        _check("cooling of paths", _solver_cases("path", product(range(1, 15))))])
 
 
 def suite_cycle_formula() -> SuiteReport:
     return SuiteReport("cycle-formula", [
-        _check("cooling of cycles", _solver_cases("C", "cycle", "n", gen_cycle, range(3, 15)))])
+        _check("cooling of cycles", _solver_cases("cycle", product(range(3, 15))))])
 
 
 def suite_caterpillar() -> SuiteReport:
-    def strategy_cases():
-        for d in range(3, 8):
-            got = caterpillar_strategy_trace(d).num_rounds
-            want = closed_form("caterpillar", {"d": d}).lo
-            yield f"CC_{d}: strategy {got} vs {want}", got == want
-
     return SuiteReport("caterpillar", [
-        _check("solver value",
-               _solver_cases("CC", "caterpillar", "d", gen_complete_caterpillar, range(3, 8))),
-        _check("strategy achieves it", strategy_cases()),
+        _check("solver value", _solver_cases("caterpillar", product(range(3, 8)))),
+        _check("strategy achieves it", _strategy_cases("caterpillar", product(range(3, 8)))),
     ])
 
 
 def suite_bounds_sandwich() -> SuiteReport:
     def cases():
-        for name, g in build_corpus():
-            cl = cooling_number(g).value
+        for name, g, res in _corpus_solved():
+            cl = res.value
             d = diameter(g)
             lo = (d + 3) // 2
             hi = min(d + 1, (g.n + 2) // 2)
@@ -112,9 +125,8 @@ def suite_bounds_sandwich() -> SuiteReport:
 
 
 def suite_burning_cross() -> SuiteReport:
-    corpus = build_corpus()
-    results = [(name, g, burning_number(g).value, cooling_number(g).value)
-               for name, g in corpus]
+    results = [(name, g, burning_number(g).value, res.value)
+               for name, g, res in _corpus_solved()]
 
     def le_cases():
         for name, _, b, cl in results:
@@ -142,17 +154,16 @@ def suite_burning_cross() -> SuiteReport:
 
 
 def suite_iso_smoothness() -> SuiteReport:
-    corpus = build_corpus()
+    profiles = [(name, iso_profile_exact(g), res.value) for name, g, res in _corpus_solved()]
 
     def smooth_cases():
-        for name, g in corpus:
-            bad = iso_profile_exact(g).smoothness_violations()
+        for name, profile, _ in profiles:
+            bad = profile.smoothness_violations()
             yield f"{name}: violations {bad[:3]}", not bad
 
     def upper_cases():
-        for name, g in corpus:
-            bound = iso_upper_bound(iso_profile_exact(g)).value
-            cl = cooling_number(g).value
+        for name, profile, cl in profiles:
+            bound = iso_upper_bound(profile).value
             yield f"{name}: I={bound} CL={cl}", bound >= cl
 
     def path_cases():
@@ -169,13 +180,9 @@ def suite_iso_smoothness() -> SuiteReport:
 
 
 def suite_grid_window(max_n: int = 40) -> SuiteReport:
-    def cases():
-        for n in range(2, max_n + 1):
-            rounds = grid_simplicial_strategy(n).num_rounds
-            w = grid_cl_window(n)
-            yield f"G_{n}: {rounds} in [{w.lo}, {w.hi}]", w.contains(rounds)
-
-    return SuiteReport("grid-window", [_check("strategy rounds inside window", cases())])
+    return SuiteReport("grid-window", [
+        _check("strategy rounds inside window",
+               _strategy_cases("grid", product(range(2, max_n + 1))))])
 
 
 def suite_grid_profile() -> SuiteReport:
@@ -201,28 +208,12 @@ def suite_grid_solver() -> SuiteReport:
 def suite_ilt() -> SuiteReport:
     limits = SearchLimits(max_nodes=32)
 
-    def formula_cases():
-        for n in (3, 4, 5):
-            for t in (1, 2):
-                g = ilt_t(gen_path(n), t).graph
-                got = cooling_number(g, limits).value
-                want = closed_form("ilt_path", {"n": n, "t": t}).lo
-                yield f"ILT_{t}(P_{n}): solver {got} vs {want}", got == want
-
-    def strategy_cases():
-        for n in (3, 4, 5, 6):
-            for t in (1, 2):
-                rounds = ilt_path_strategy_trace(n, t).num_rounds
-                want = closed_form("ilt_path", {"n": n, "t": t}).lo
-                yield f"ILT_{t}(P_{n}): strategy {rounds} vs {want}", rounds == want
-
     def monotone_cases():
         # replaying G's witness on ILT(G) certifies CL(ILT(G)) >= its rounds;
         # an exact solve settles the graphs where the replay falls short
-        for name, g in build_corpus():
+        for name, g, cl in _corpus_solved():
             if 2 * g.n > 24:
                 continue
-            cl = cooling_number(g)
             lifted = ilt(g).graph
             got = validate_sequence(lifted, cl.witness.sources).num_rounds
             if got < cl.value:
@@ -242,8 +233,8 @@ def suite_ilt() -> SuiteReport:
             yield f"{name}: CL2={c2} CL3={c3}", c2 <= c3 <= c2 + 1
 
     return SuiteReport("ilt", [
-        _check("path formula", formula_cases()),
-        _check("path strategy", strategy_cases()),
+        _check("path formula", _solver_cases("ilt_path", product((3, 4, 5), (1, 2)), limits)),
+        _check("path strategy", _strategy_cases("ilt_path", product((3, 4, 5, 6), (1, 2)))),
         _check("one step never decreases", monotone_cases()),
         _check("second step fixes sequence length", fixpoint_cases()),
         _check("later steps add at most one round", step_cases()),
@@ -267,13 +258,7 @@ SPIDER_EXACT = {(1, 1): 2, (2, 2): 4, (2, 3): 6, (2, 1): 3, (3, 2): 5, (3, 3): 7
 
 
 def suite_spider() -> SuiteReport:
-    def lower_cases():
-        for m, r in SPIDER_SHAPES:
-            res = spider_strategy(m, r)
-            rounds, lo = res.trace.num_rounds, res.certified.lo
-            yield f"spider(2m={2 * m}, r={r}): rounds {rounds} vs {lo}", rounds >= lo
-
-    solved = {(m, r): cooling_number(gen_spider(2 * m, r)).value for m, r in SPIDER_EXACT}
+    solved = {(m, r): cooling_number(FORMS["spider"].graph(m, r)).value for m, r in SPIDER_EXACT}
 
     def exact_cases():
         for (m, r), want in SPIDER_EXACT.items():
@@ -287,7 +272,8 @@ def suite_spider() -> SuiteReport:
                 form.contains(got)
 
     return SuiteReport("spider", [
-        _check("strategy meets the certified lower bound", lower_cases()),
+        _check("strategy meets the certified lower bound",
+               _strategy_cases("spider", SPIDER_SHAPES)),
         _check("exact value above the log threshold (2r or 2r+1)", exact_cases()),
         _check("certified form contains the exact value", certified_cases()),
     ])

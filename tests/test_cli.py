@@ -249,6 +249,37 @@ class TestStrategyCommand:
         code, _, _ = run_cli("strategy", "caterpillar")
         assert code == 4
 
+    # every table strategy in range, out of range and missing a flag; the
+    # strategy's own error and exit code come before the closed form's range
+    @pytest.mark.parametrize("argv, code, out, err", [
+        ("grid-simplicial --n 5", 0, "rounds=7 window=[4, 7]\n", ""),
+        ("grid-simplicial --n 1", 0, "rounds=1\n", ""),
+        ("grid-simplicial --n 1 --json", 0,
+         '{"command": "strategy", "name": "grid-simplicial", "rounds": 1, "sources": [0], '
+         '"certified": null}\n', ""),
+        ("grid-simplicial --n 0", 1, "", "grid needs n >= 1, got 0\n"),
+        ("grid-simplicial", 4, "", "grid-simplicial needs --n\n"),
+        ("caterpillar --d 5", 0, "rounds=5 certified=5\n", ""),
+        ("caterpillar --d 2", 1, "", "complete caterpillar needs d >= 3, got 2\n"),
+        ("caterpillar", 4, "", "caterpillar needs --d\n"),
+        ("spider --m 2 --r 3", 0, "rounds=6 lower_bound=6\n", ""),
+        ("spider --m 2 --r 3 --json", 0,
+         '{"command": "strategy", "name": "spider", "rounds": 6, "sources": [3, 6, 4, 7, 9, 12], '
+         '"certified": {"family": "spider", "params": {"m": 2, "r": 3}, "kind": "lower_bound", '
+         '"lo": 6, "hi": null}}\n', ""),
+        ("spider --m 0 --r 3", 4, "",
+         "spider strategy needs m >= 1 (2m legs, so an even leg count)\n"),
+        ("spider --m 2 --r 0", 4, "", "spider strategy needs legs of length r >= 1\n"),
+        ("spider --m 2", 4, "", "spider needs --m and --r\n"),
+        ("ilt-path --n 5 --t 2", 0, "rounds=5 certified=5\n", ""),
+        ("ilt-path --n 2 --t 1", 1, "", "ilt path strategy needs n >= 3, got 2\n"),
+        ("ilt-path --n 5 --t 0", 1, "", "ilt_t needs t >= 1, got 0\n"),
+        ("ilt-path --t 1", 4, "", "ilt-path needs --n and --t\n"),
+        ("path-diameter", 4, "", "path-diameter needs --in\n"),
+    ])
+    def test_output_pinned(self, argv, code, out, err):
+        assert run_cli("strategy", *argv.split()) == (code, out, err)
+
     def test_spider_trace_file_revalidates(self, tmp_path):
         from coolnum.generators import gen_spider
 

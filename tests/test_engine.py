@@ -10,7 +10,6 @@ from coolnum.engine import (
     read_trace,
     run_burning,
     run_cooling,
-    smallest_uncooled_policy,
     spread_step,
     trace_from_json_obj,
     trace_to_json_obj,
@@ -27,14 +26,19 @@ from coolnum.generators import (
 from coolnum.graphs import DisconnectedGraphError, build_graph, diameter
 
 
+def defer(g, cooled, t):
+    """A policy that always takes the engine's smallest-uncooled fallback."""
+    return None
+
+
 class TestRunCooling:
     def test_single_node_one_round(self):
-        trace = run_cooling(gen_path(1), smallest_uncooled_policy)
+        trace = run_cooling(gen_path(1), defer)
         assert trace.num_rounds == 1
         assert trace.sources == (0,)
 
     def test_p2_forced_two_rounds(self):
-        trace = run_cooling(gen_path(2), smallest_uncooled_policy)
+        trace = run_cooling(gen_path(2), defer)
         assert trace.num_rounds == 2
         assert trace.sources == (0,)  # round 2's spread cools node 1 first
 
@@ -43,7 +47,7 @@ class TestRunCooling:
         assert trace.num_rounds == 4
 
     def test_round_one_has_empty_spread_and_a_source(self):
-        trace = run_cooling(gen_cycle(5), smallest_uncooled_policy)
+        trace = run_cooling(gen_cycle(5), defer)
         assert trace.rounds[0].spread == frozenset()
         assert trace.rounds[0].source is not None
 
@@ -62,7 +66,7 @@ class TestRunCooling:
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            run_cooling(build_graph(4, [(0, 1), (2, 3)]), smallest_uncooled_policy)
+            run_cooling(build_graph(4, [(0, 1), (2, 3)]), defer)
 
     def test_none_takes_smallest_uncooled_after_scripted_picks(self):
         script = {1: 6}  # round 1 picks the far end, later rounds defer
@@ -141,10 +145,10 @@ class TestSpreadStep:
 
 class TestRunBurning:
     def test_single_node(self):
-        assert run_burning(gen_path(1), smallest_uncooled_policy).num_rounds == 1
+        assert run_burning(gen_path(1), defer).num_rounds == 1
 
     def test_p2(self):
-        assert run_burning(gen_path(2), smallest_uncooled_policy).num_rounds == 2
+        assert run_burning(gen_path(2), defer).num_rounds == 2
 
     def test_p9_good_sequence_gives_three(self):
         trace = validate_sequence(gen_path(9), [2, 6, 8])

@@ -206,12 +206,10 @@ class TestPinnedWork:
     def test_grid5(self):
         stats = cooling_number(gen_grid(5), self.LIMITS).stats
         assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (130, 529, 6)
-        assert stats.memo_size == 130
 
     def test_cycle24(self):
         stats = cooling_number(gen_cycle(24), self.LIMITS).stats
         assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (587, 2421, 11)
-        assert stats.memo_size == 587
 
     @pytest.mark.parametrize("solve, graph, pinned", [
         (cooling_number, gen_grid(6), (8, 1482, 2654, 9251, 13)),
@@ -224,13 +222,9 @@ class TestPinnedWork:
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
 
-    def test_memo_size_without_lookups_and_for_burning(self):
-        # with lookups off a state can be expanded more than once, but the
-        # memo keeps one entry per state: as many as the search with lookups
-        stats = cooling_number(gen_grid(4), use_memo=False).stats
-        assert (stats.expanded, stats.memo_size) == (36, 22)
-        assert cooling_number(gen_grid(4)).stats.memo_size == 22
-        assert burning_number(gen_grid(4)).stats.memo_size == 0
+    def test_expanded_without_lookups(self):
+        # with lookups off a state can be expanded more than once
+        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 36
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats

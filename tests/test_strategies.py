@@ -344,6 +344,14 @@ class TestClosedForm:
         assert closed_form("ilt_path", {"n": 5, "t": 2}).lo == 5
         assert closed_form("ilt_path", {"n": 6, "t": 1}).lo == 5
 
+    @pytest.mark.parametrize("family", list(strategies.FORMS))
+    def test_each_parameter_has_a_least_value(self, family):
+        least = dict(strategies.FORMS[family].params)
+        closed_form(family, least)
+        for name in least:
+            with pytest.raises(GraphError, match=f"{family} forms need .*, got .*{name}="):
+                closed_form(family, {**least, name: least[name] - 1})
+
     def test_unknown_family(self):
         with pytest.raises(StrategyError):
             closed_form("torus", {"n": 3})
@@ -373,3 +381,15 @@ class TestStrategiesMatchSolverWhereOptimal:
             trace = caterpillar_strategy_trace(d)
             exact = cooling_number(gen_complete_caterpillar(d)).value
             assert trace.num_rounds == exact == d
+
+
+def test_benchmark_imports_keep_working():
+    # the names perfbench's workloads and pin script call on coolnum.strategies
+    from coolnum import grid_simplicial_strategy, path_diameter_strategy, spider_strategy
+    from coolnum.strategies import caterpillar_strategy_trace, ilt_path_strategy_trace
+
+    assert caterpillar_strategy_trace(6).num_rounds == 6
+    assert ilt_path_strategy_trace(5, 1).num_rounds == 4
+    assert grid_simplicial_strategy(5).num_rounds == 7
+    assert spider_strategy(2, 3).trace.num_rounds == 6
+    assert len(path_diameter_strategy(gen_path(9))) == 5

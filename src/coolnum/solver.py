@@ -1,14 +1,19 @@
 """Exact solvers for the cooling number, maximum sequence length, and burning number.
 
-The cooling-side solvers run a depth-first search over cooled-set states at
-round boundaries, memoized on the cooled set alone: the future of the process
-depends only on which nodes are cooled, never on how many rounds it took to
-get there. Pruning is restricted to bounds that cannot cut an optimal branch,
-so memoized values stay exact:
+The cooling-side solvers run a depth-first search over round boundaries,
+memoized on the post-spread set: the future of the process after a boundary
+``C`` depends only on the set ``N[C]`` that the next spread cools, never on
+``C`` itself or on how many rounds it took to get there. So boundaries with
+one closed neighbourhood share one memo entry. A state ``K = N[C]`` spreads
+once, to ``N[K]``, and the key of its child with source ``s`` is
+``N[K | {s}] = N[K] | N[s]``, one OR. A full boundary is decided before
+its key is formed: it ends the run, while a boundary that is not full but
+whose spread fills the graph still takes one more round. Pruning is restricted to bounds that
+cannot cut an optimal branch, so memoized values stay exact:
 
-* from a boundary state with ``u`` uncooled nodes at most ``ceil((u+1)/2)``
-  rounds remain (every non-final round cools a spread node plus a source);
-  once a child reaches that bound, the remaining children are not searched;
+* from a state with ``u`` uncooled nodes at most ``ceil((u+1)/2)`` rounds
+  remain (every non-final round cools a spread node plus a source); once a
+  child reaches that bound, the remaining children are not searched;
 * at most ``ecc(C)`` rounds remain from cooled set ``C``, since spread alone
   reaches every node within ``ecc(C)`` rounds and sources only accelerate
   (the state-local form of the diameter+1 bound);
@@ -21,17 +26,15 @@ The eccentricity bounds are tested once per child: a child whose every node
 lies within ``r = value - 1`` hops (rounds) or ``r = value`` hops (sources)
 cannot strictly beat the current best ``value``, so it is skipped; its id is
 higher than the current choice's, so the lowest-id optimal choice and the
-memoized value do not change. A child of boundary state ``B`` is
-``N[B] | {s}``, and for nonempty ``B``, ``dist(w, N[B]) <= r`` exactly when
-``dist(w, B) <= r + 1``. So each state ORs the cached balls
-(:attr:`Graph.balls`) of radius ``r + 1`` around the members of ``B`` into
-one union, rebuilt only when ``value`` rises, and a child is skipped when
-that union ORed with the radius-``r`` ball of ``s`` is every node. The
-same bounds cap each first source at ``ecc(s)`` and the whole search at the
-diameter (plus one for rounds). Every bound is cross-checked against
-unpruned search in the test suite. First sources in one automorphism orbit
-have the same value, so only the lowest listed node of each orbit is
-searched.
+memoized value do not change. The child boundary is ``K | {s}``, so each
+state ORs the cached balls (:attr:`Graph.balls`) of radius ``r`` around the
+members of ``K`` into one union, rebuilt only when ``value`` rises, and a
+child is skipped when that union ORed with the radius-``r`` ball of ``s`` is
+every node. The same bounds cap each first source at ``ecc(s)`` and the
+whole search at the diameter (plus one for rounds). Every bound is
+cross-checked against unpruned search in the test suite. First sources in
+one automorphism orbit have the same value, so only the lowest listed node
+of each orbit is searched.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -125,9 +128,9 @@ class _MaxSearch:
         self.prune = prune
         self.use_memo = use_memo
         self.deadline = deadline
-        # value and lowest-id optimal source per boundary state; always
+        # value and lowest-id optimal source per post-spread set; always
         # written so witnesses reconstruct even with lookups disabled
-        self.memo: dict[int, tuple[int, int | None]] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
         self.expanded = 0
         self.memo_hits = 0
         self.ecc_cuts = 0
@@ -155,32 +158,29 @@ class _MaxSearch:
             mask ^= low
         return acc
 
-    def best_from(self, boundary: int) -> int:
-        """Objective value achievable from a cooled set at a round boundary."""
-        if boundary == self.full:
-            return 0  # the round that cooled the last node already ended the run
+    def best_from(self, key: int) -> int:
+        """Objective value achievable from a round boundary that is not full,
+        given the set ``key`` its next spread cools."""
+        if key == self.full:
+            # the next round's spread finishes the process: one final round,
+            # no further source
+            return 1 if self.objective == _ROUNDS else 0
         if self.use_memo:
-            hit = self.memo.get(boundary)
+            hit = self.memo.get(key)
             if hit is not None:
                 self.memo_hits += 1
                 return hit[0]
         self.expanded += 1
-        if self.deadline is not None and self.expanded % 64 == 0:
+        if self.deadline is not None and self.expanded % 64 == 1:
             if time.monotonic() > self.deadline:
                 raise TimeBudgetExceededError("search exceeded its time budget")
-        after = self._spread(boundary)
-        if after == self.full:
-            # the next round's spread finishes the process: one final round,
-            # no further source
-            value, choice = (1, None) if self.objective == _ROUNDS else (0, None)
-            self.memo[boundary] = (value, choice)
-            return value
-        rem = self.full ^ after
+        full = self.full
+        rem = full ^ key
         u = rem.bit_count()
         counting = (u + 1) // 2 if self.objective == _ROUNDS else (u - 1) // 2
-        value = 0
-        choice: int | None = None
-        balls, full = self.balls, self.full
+        value = choice = 0
+        balls, masks = self.balls, self.masks
+        nxt = self._spread(key)  # N[key | {s}] is nxt | N[s] for every child s
         reach = r = 0  # reach stays 0 until pruning has a value to beat
         while rem:
             low = rem & -rem
@@ -189,31 +189,30 @@ class _MaxSearch:
             if reach and (reach | balls[i][r]) == full:
                 self.ecc_cuts += 1
                 continue
-            v = 1 + self.best_from(after | low)
+            # a full boundary ends the run; its key would be full too, which
+            # best_from reads as a boundary one round short of the end
+            v = 1 if key | low == full else 1 + self.best_from(nxt | masks[i] | low)
             if v > value:
                 value, choice = v, i
                 if self.prune:
                     if value > counting:
                         self.counting_cuts += 1
                         break  # no sibling can strictly beat the bound
-                    # a child after | low is within r hops of every node
-                    # exactly when reach | balls[i][r] is full, since
-                    # dist(w, N[B]) <= r iff dist(w, B) <= r + 1
+                    # the child boundary key | low is within r hops of every
+                    # node exactly when reach | balls[i][r] is full
                     r = value - 1 + self.slack
-                    reach = self._reach(boundary, r + 1)
-        self.memo[boundary] = (value, choice)
+                    reach = self._reach(key, r)
+        self.memo[key] = (value, choice)
         return value
 
     def reconstruct(self, root: int) -> list[int]:
         """Lowest-id optimal source list starting from first source ``root``."""
         seq = [root]
-        state = 1 << root
-        while state != self.full:
-            _, choice = self.memo[state]
-            if choice is None:
-                return seq
+        key = self.masks[root] | 1 << root
+        while key != self.full:
+            choice = self.memo[key][1]
             seq.append(choice)
-            state = self._spread(state) | (1 << choice)
+            key = self._spread(key) | self.masks[choice] | 1 << choice
         return seq
 
     @property
@@ -236,7 +235,8 @@ class _MaxSearch:
             if self.prune and best_root >= 0:
                 if best >= 1 + min(counting, max(self.distances[s]) - self.slack):
                     continue  # this root cannot strictly beat the incumbent
-            v = 1 + self.best_from(1 << s)
+            low = 1 << s
+            v = 1 if low == self.full else 1 + self.best_from(self.masks[s] | low)
             if v > best:
                 best, best_root = v, s
                 if self.prune and best >= cap:
@@ -360,7 +360,7 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
                 cache_hits += 1
                 return None
             expanded += 1
-            if deadline is not None and expanded % 1024 == 0:
+            if deadline is not None and expanded % 1024 == 1:
                 if time.monotonic() > deadline:
                     raise TimeBudgetExceededError("search exceeded its time budget")
             # lowest uncovered node; some remaining ball must cover it, so

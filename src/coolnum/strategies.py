@@ -234,16 +234,15 @@ class _SpiderSchedule:
 @dataclass(frozen=True)
 class SpiderStrategyResult:
     trace: CoolingTrace
-    certified: ClosedForm
 
 
 def spider_strategy(m: int, r: int) -> SpiderStrategyResult:
     """Run the two-phase schedule on the spider with ``2m`` legs of length ``r``.
 
-    Returns the trace plus the certified closed form for this shape, a
-    lower bound that the run meets for every ``(m, r)``. The certification
-    hypotheses require an even leg count and equal lengths, which the
-    ``(m, r)`` parameterization enforces.
+    The run meets ``closed_form("spider", {"m": m, "r": r})``, a lower
+    bound, for every ``(m, r)``. The certification hypotheses require an
+    even leg count and equal lengths, which the ``(m, r)`` parameterization
+    enforces.
     """
     if m < 1:
         raise StrategyError("spider strategy needs m >= 1 (2m legs, so an even leg count)")
@@ -251,7 +250,7 @@ def spider_strategy(m: int, r: int) -> SpiderStrategyResult:
         raise StrategyError("spider strategy needs legs of length r >= 1")
     g = gen_spider(2 * m, r)
     trace = run_cooling(g, _SpiderSchedule(m, r))
-    return SpiderStrategyResult(trace, closed_form("spider", {"m": m, "r": r}))
+    return SpiderStrategyResult(trace)
 
 
 def ilt_path_strategy(n: int, t: int) -> list[int]:

@@ -155,6 +155,11 @@ class TestCoolingNumber:
             cooling_number(gen_path(16), SearchLimits(max_nodes=16, time_budget=0.0),
                            prune=False)
 
+    @pytest.mark.parametrize("solve", [cooling_number, max_sequence_length, burning_number])
+    def test_time_budget_checked_on_the_first_state(self, solve):
+        with pytest.raises(TimeBudgetExceededError):
+            solve(gen_path(5), SearchLimits(time_budget=0))
+
     @pytest.mark.parametrize("budget", [float("nan"), -1])
     def test_nan_or_negative_time_budget_refused(self, budget):
         want = f"^time budget must be a non-negative number of seconds, got {budget}$"
@@ -205,40 +210,46 @@ class TestPinnedWork:
 
     def test_grid5(self):
         stats = cooling_number(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (130, 529, 6)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (62, 356, 2)
 
     def test_cycle24(self):
         stats = cooling_number(gen_cycle(24), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (587, 2421, 11)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (184, 812, 11)
 
     @pytest.mark.parametrize("solve, graph, pinned", [
-        (cooling_number, gen_grid(6), (8, 1482, 2654, 9251, 13)),
-        (max_sequence_length, gen_grid(6), (8, 237, 265, 2124, 13)),
-        (cooling_number, gen_spider(4, 4), (7, 699, 1278, 993, 209)),
-        (max_sequence_length, gen_cycle(18), (6, 85, 36, 286, 16)),
+        (cooling_number, gen_grid(6), (8, 527, 1432, 4500, 4)),
+        (max_sequence_length, gen_grid(6), (8, 116, 187, 1313, 4)),
+        (cooling_number, gen_spider(4, 4), (7, 200, 663, 371, 33)),
+        (max_sequence_length, gen_cycle(18), (6, 54, 31, 188, 16)),
     ], ids=["grid6", "seqlen-grid6", "spider-4x4", "seqlen-cycle18"])
     def test_search_workload_instances(self, solve, graph, pinned):
         res = solve(graph, SearchLimits(max_nodes=36))
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
 
+    def test_global_cap_stops_the_root_loop(self):
+        # the first root reaches the cap (n + 2) // 2 = 5; the root skip alone
+        # would still search node 1, whose eccentricity is 7
+        res = cooling_number(gen_path(9))
+        assert (res.value, res.stats.expanded, res.stats.memo_hits) == (5, 6, 2)
+
     def test_expanded_without_lookups(self):
         # with lookups off a state can be expanded more than once
-        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 36
+        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 23
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (33, 229, 5)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (24, 207, 3)
 
     def test_seqlen_search_pool_graph_10(self):
         # 85,883 states when the source count was capped by counting alone
         res = max_sequence_length(search_pool_graph(10), SearchLimits(max_nodes=40))
-        assert (res.value, res.stats.expanded) == (6, 12)
+        assert (res.value, res.stats.expanded) == (6, 10)
 
     def test_path40_jobs2_searches_serially(self):
         # 670,224 states when jobs=2 split the roots over two pooled workers
         res = cooling_number(gen_path(40), SearchLimits(max_nodes=40), jobs=2)
-        assert (res.value, res.stats.expanded) == (21, 20)
+        assert (res.value, res.stats.expanded) == (21, 19)
 
     def test_cuts_are_zero_without_pruning_and_for_burning(self):
         stats = cooling_number(gen_cycle(9), prune=False).stats
@@ -279,24 +290,48 @@ def test_within_matches_bfs_eccentricity(corpus, within_scan):
 
 
 def test_child_test_by_ball_union_matches_scan(corpus, within_scan):
-    """The search's per-child test, ``reach(B, r + 1) | ball(s, r) == full``,
-    says the same as scanning every node of the child ``N[B] | {s}``, for
-    every source ``s`` outside ``N[B]`` and every radius up to the diameter
-    (the search uses ``value - 1`` for rounds and ``value`` for sources)."""
+    """The search's per-child test, ``reach(K, r) | ball(s, r) == full``,
+    says the same as scanning every node of the child boundary ``K | {s}``,
+    for every post-spread set ``K``, every source ``s`` outside it and every
+    radius up to the diameter (the search uses ``value - 1`` for rounds and
+    ``value`` for sources)."""
     rng = random.Random(29)
     graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
     for g in graphs:
         search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
         for _ in range(5):
             boundary = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n // 2 + 1)))
-            after = search._spread(boundary)
-            lows = [s for s in range(g.n) if not after >> s & 1]
+            key = search._spread(boundary)
+            lows = [s for s in range(g.n) if not key >> s & 1]
             for r in range(diameter(g) + 1):
-                reach = search._reach(boundary, r + 1)
+                reach = search._reach(key, r)
                 for s in lows:
-                    child = after | 1 << s
+                    child = key | 1 << s
                     assert ((reach | g.balls[s][r]) == search.full) == within_scan(g, child, r), \
                         (g.adj, boundary, s, r)
+
+
+class TestPostSpreadKey:
+    """The memo is keyed on ``N[C]``, the set a boundary ``C``'s next spread cools."""
+
+    def test_boundaries_with_one_closed_neighbourhood_share_an_entry(self):
+        # on P_5, the boundaries {1} and {0, 1} both spread to {0, 1, 2}
+        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, True, True, None)
+        key = search._spread(0b00010)
+        assert search._spread(0b00011) == key == 0b00111
+        value = search.best_from(key)
+        expanded, entries = search.expanded, len(search.memo)
+        assert search.best_from(search._spread(0b00011)) == value
+        assert (search.expanded, len(search.memo), search.memo_hits) == (expanded, entries, 1)
+
+    def test_spider_5x5_pinned(self):
+        # with a child key that leaves out the source itself, reconstruct fails here
+        g = gen_spider(5, 5)
+        limits = SearchLimits(max_nodes=g.n)
+        res = cooling_number(g, limits)
+        assert (res.value, list(res.witness.sources)) == (10, [5, 9, 15, 13, 11, 16, 18, 20, 24])
+        res = max_sequence_length(g, limits)
+        assert (res.value, list(res.witness.sources)) == (9, [4, 8, 10, 11, 13, 15, 18, 20, 25])
 
 
 class TestMaxSequenceLength:

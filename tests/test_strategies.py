@@ -238,13 +238,13 @@ class TestCaterpillarStrategy:
 class TestSpiderStrategy:
     def test_tight_on_two_legs(self):
         res = spider_strategy(1, 3)  # isomorphic to P7
-        assert res.certified.kind == "lower_bound"
-        assert res.certified.lo == 4
+        form = closed_form("spider", {"m": 1, "r": 3})
+        assert (form.kind, form.lo) == ("lower_bound", 4)
         assert res.trace.num_rounds == 4 == cooling_number(gen_spider(2, 3)).value
 
     def test_m2_r7_bound(self):
         res = spider_strategy(2, 7)
-        assert res.certified.lo == 12
+        assert closed_form("spider", {"m": 2, "r": 7}).lo == 12
         assert res.trace.num_rounds >= 12
 
     def test_schedule_rounds_meet_formula(self):

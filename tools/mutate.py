@@ -1,0 +1,161 @@
+"""Mutation gate for the cooling search's memo key and pruning rules.
+
+Each mutant replaces one exact snippet of ``src/coolnum/solver.py`` (a
+single token or operand where possible) in a throwaway copy of the repo,
+then runs ``tests/test_solver.py``, ``tests/test_properties.py`` and
+``tests/test_acceptance.py`` with ``-x``. A mutant is killed when that run
+fails and survives when it passes. Mutants marked equivalent change no
+value, witness or work counter, so their survival is expected; any other
+survivor means a rule the tests do not guard, and the gate exits 1.
+
+Run from the repo root (stdlib only; the tests need pytest)::
+
+    python tools/mutate.py            # every mutant
+    python tools/mutate.py ecc-r-1    # the named mutants only
+
+The copies go under the system temporary directory (``TMPDIR``).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SOLVER = os.path.join("src", "coolnum", "solver.py")
+TESTS = ["tests/test_solver.py", "tests/test_properties.py", "tests/test_acceptance.py"]
+TIMEOUT_S = 300  # the three files take about 10 s on a 2-core machine
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    old: str
+    new: str
+    equivalent: str | None = None  # why the mutant cannot change behaviour
+
+
+MUTANTS = [
+    # the post-spread key: closed neighbourhoods, and a full boundary decided
+    # before its key is formed
+    Mutant("child-key-open", "best_from(nxt | masks[i] | low)", "best_from(nxt | masks[i])"),
+    Mutant("root-key-open", "best_from(self.masks[s] | low)", "best_from(self.masks[s])"),
+    Mutant("walk-key-open", "self.masks[choice] | 1 << choice", "self.masks[choice]"),
+    Mutant("child-full-boundary", "v = 1 if key | low == full else", "v = 1 if False else"),
+    Mutant("root-full-boundary", "v = 1 if low == self.full else", "v = 1 if False else"),
+    Mutant("full-key-value", "return 1 if self.objective == _ROUNDS else 0",
+           "return 0 if self.objective == _ROUNDS else 0"),
+    # counting bound
+    Mutant("counting-rounds", "counting = (u + 1) // 2 if", "counting = u // 2 if"),
+    Mutant("counting-rounds-loose", "counting = (u + 1) // 2 if", "counting = (u + 2) // 2 if"),
+    Mutant("counting-sources", "else (u - 1) // 2", "else u // 2 - 1"),
+    Mutant("counting-sources-loose", "else (u - 1) // 2", "else u // 2"),
+    Mutant("counting-compare", "if value > counting:", "if value >= counting:"),
+    # eccentricity bound
+    Mutant("ecc-r-1", "self._reach(key, r)", "self._reach(key, r - 1)"),
+    Mutant("ecc-r+1", "self._reach(key, r)", "self._reach(key, r + 1)"),
+    Mutant("ecc-radius-low", "r = value - 1 + self.slack", "r = value - 2 + self.slack"),
+    Mutant("ecc-radius-high", "r = value - 1 + self.slack", "r = value + self.slack"),
+    Mutant("ecc-slack-sources", "self.slack = 0 if objective == _ROUNDS else 1",
+           "self.slack = 0 if objective == _ROUNDS else 0"),
+    Mutant("ecc-slack-rounds", "self.slack = 0 if objective == _ROUNDS else 1",
+           "self.slack = 1 if objective == _ROUNDS else 1"),
+    # root skip
+    Mutant("root-skip-compare", "if best >= 1 + min(counting,", "if best > 1 + min(counting,"),
+    Mutant("root-skip-slack", "max(self.distances[s]) - self.slack)",
+           "max(self.distances[s]) + self.slack)"),
+    Mutant("root-skip-ecc", "max(self.distances[s]) - self.slack)",
+           "max(self.distances[s]) - self.slack - 1)"),
+    Mutant("root-skip-counting", "counting = (n + 1) // 2 if", "counting = n // 2 if",
+           equivalent="equal for even n; for odd n a skip needs best >= 1 + n // 2, which is "
+                      "(n + 2) // 2 >= the global cap, so the root loop has already stopped"),
+    Mutant("root-skip-counting-sources", "else (n - 1) // 2", "else (n - 2) // 2"),
+    # global cap
+    Mutant("cap-rounds-diameter", "return min(self.top + 1, (self.n + 2) // 2)",
+           "return min(self.top, (self.n + 2) // 2)"),
+    Mutant("cap-rounds-counting", "return min(self.top + 1, (self.n + 2) // 2)",
+           "return min(self.top + 1, (self.n + 1) // 2)"),
+    Mutant("cap-sources-diameter", "return min(self.top, (self.n + 1) // 2)",
+           "return min(self.top - 1, (self.n + 1) // 2)"),
+    Mutant("cap-sources-counting", "return min(self.top, (self.n + 1) // 2)",
+           "return min(self.top, self.n // 2)"),
+    Mutant("cap-compare", "if self.prune and best >= cap:", "if self.prune and best > cap:"),
+    # ties and the time budget
+    Mutant("child-tie", "if v > value:", "if v >= value:"),
+    Mutant("root-tie", "if v > best:", "if v >= best:"),
+    Mutant("deadline-first-state", "self.expanded % 64 == 1", "self.expanded % 64 == 0"),
+    Mutant("burn-deadline-first-state", "expanded % 1024 == 1", "expanded % 1024 == 0"),
+]
+
+
+def apply(source: str, m: Mutant) -> str:
+    if source.count(m.old) != 1:
+        raise SystemExit(f"mutant {m.name}: {m.old!r} must occur exactly once in {SOLVER}")
+    return source.replace(m.old, m.new)
+
+
+def run(m: Mutant, source: str, scratch: str) -> tuple[bool, float, str]:
+    """Whether the tests kill ``m``, the seconds they took, and their last line."""
+    copy = os.path.join(scratch, m.name)
+    for part in ("src", "tests"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
+    with open(os.path.join(copy, SOLVER), "w") as fh:
+        fh.write(apply(source, m))
+    env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
+    start = time.monotonic()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               *TESTS], cwd=copy, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:  # a mutant that makes the search hang is killed
+        return True, time.monotonic() - start, f"timed out after {TIMEOUT_S} s"
+    finally:
+        shutil.rmtree(copy)
+    lines = proc.stdout.strip().splitlines()
+    return proc.returncode != 0, time.monotonic() - start, lines[-1] if lines else ""
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = ap.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        ap.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [by_name[n] for n in args.names] if args.names else MUTANTS
+    with open(os.path.join(ROOT, SOLVER)) as fh:
+        source = fh.read()
+    for m in chosen:
+        apply(source, m)  # a stale snippet fails before anything runs
+    bad = []
+    with tempfile.TemporaryDirectory(prefix="coolnum-mutate-") as scratch:
+        for m in chosen:
+            killed, secs, last = run(m, source, scratch)
+            if killed:
+                verdict = "killed"
+            elif m.equivalent:
+                verdict = "equivalent"
+            else:
+                verdict = "SURVIVED"
+                bad.append(m.name)
+            print(f"{m.name:28} {verdict:10} {secs:5.1f}s  {last}", flush=True)
+            if verdict == "equivalent":
+                print(f"{'':28} ({m.equivalent})", flush=True)
+    if bad:
+        print(f"{len(bad)} non-equivalent survivor(s): {', '.join(bad)}")
+        return 1
+    print(f"no non-equivalent survivor among {len(chosen)} mutants")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -252,8 +252,12 @@ def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP) -> BoundsRepo
     """Assemble all computable bounds, listing the ones skipped for size.
 
     The burning search takes the solver's node cap (``COOLNUM_MAX_NODES`` or
-    its default); a graph above it skips ``burning_lower``.
+    its default); a graph above it skips ``burning_lower``. Raises
+    ``GraphError`` on a graph with no node and ``DisconnectedGraphError`` on
+    a disconnected one.
     """
+    if g.n < 1:
+        raise GraphError("bounds need at least one node")
     if not g.is_connected:
         raise DisconnectedGraphError("bounds need a connected graph")
     d = diameter(g)

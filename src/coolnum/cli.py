@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 bad input (usage errors included) or failed
 verification, 2 graph exceeds the solver cap, 3 disconnected input, 4
 strategy/family mismatch, 5 unknown verification suite, 6 the solver's time
-budget ran out. All output is randomness-free; repeated runs with the same
-flags produce byte-identical output. The environment variable
-``COOLNUM_MAX_NODES`` overrides the default solver caps, as it does for
-library calls.
+budget ran out, 7 out of memory. All output is randomness-free; repeated
+runs with the same flags produce byte-identical output. The environment
+variable ``COOLNUM_MAX_NODES`` overrides the default solver caps, as it does
+for library calls.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import json
 import sys
 import warnings
 
-from . import verify
-from .bounds import bounds_report
-from .engine import validate_sequence, write_trace
+# argument parsing and the exit codes need only these; each command imports
+# the layers it runs, so a process loads nothing more
 from .generators import (
     gen_complete_caterpillar,
     gen_cycle,
@@ -26,18 +25,13 @@ from .generators import (
     gen_path,
     gen_spider,
 )
-from .graph_io import export_dot, read_graph, write_graph
-from .graphs import DisconnectedGraphError, GraphError
-from .ilt import ilt_t
-from .solver import (
+from .graphs import (
+    DisconnectedGraphError,
+    GraphError,
     GraphTooLargeError,
-    SearchLimits,
+    StrategyError,
     TimeBudgetExceededError,
-    burning_number,
-    cooling_number,
-    max_sequence_length,
 )
-from .strategies import FORMS, StrategyError, closed_form, path_diameter_strategy
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,6 +40,7 @@ EXIT_DISCONNECTED = 3
 EXIT_STRATEGY_MISMATCH = 4
 EXIT_UNKNOWN_SUITE = 5
 EXIT_OUT_OF_TIME = 6
+EXIT_OUT_OF_MEMORY = 7
 
 
 def _emit(obj: dict, as_json: bool, plain: str) -> None:
@@ -68,6 +63,12 @@ def _parse_base(spec: str):
     return build(n)
 
 
+def _gen_ilt(base: str, t: int):
+    from .ilt import ilt_t
+
+    return ilt_t(_parse_base(base), t).graph
+
+
 # gen family -> (builder, the flags it takes in argument order); the families
 # that take one flag also serve as ilt bases
 FAMILIES = {
@@ -76,11 +77,13 @@ FAMILIES = {
     "grid": (gen_grid, ("n",)),
     "caterpillar": (gen_complete_caterpillar, ("d",)),
     "spider": (gen_spider, ("legs", "r")),
-    "ilt": (lambda base, t: ilt_t(_parse_base(base), t).graph, ("base", "t")),
+    "ilt": (_gen_ilt, ("base", "t")),
 }
 
 
 def cmd_gen(args) -> int:
+    from .graph_io import export_dot, write_graph
+
     build, flags = FAMILIES[args.family]
     missing = [f"--{flag}" for flag in flags if getattr(args, flag) is None]
     if missing:
@@ -94,20 +97,25 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# solver command -> (solver, whether it takes the search flags --jobs,
-# --no-prune and --no-memo); --jobs is parsed and ignored, the search is serial
+# solver command -> (its function in coolnum.solver, whether it takes the
+# search flags --jobs, --no-prune and --no-memo); --jobs is parsed and
+# ignored, the search is serial
 SOLVERS = {
-    "exact": (cooling_number, True),
-    "seqlen": (max_sequence_length, True),
-    "burn": (burning_number, False),
+    "exact": ("cooling_number", True),
+    "seqlen": ("max_sequence_length", True),
+    "burn": ("burning_number", False),
 }
 
 
 def cmd_solve(args) -> int:
-    solve, searches = SOLVERS[args.command]
+    from . import solver
+    from .engine import write_trace
+    from .graph_io import read_graph
+
+    name, searches = SOLVERS[args.command]
     search = {"prune": not args.no_prune, "use_memo": not args.no_memo} if searches else {}
-    result = solve(read_graph(args.graph_in),
-                   SearchLimits(args.max_nodes, args.time_budget), **search)
+    result = getattr(solver, name)(read_graph(args.graph_in),
+                                   solver.SearchLimits(args.max_nodes, args.time_budget), **search)
     if args.trace_out:
         write_trace(result.witness, args.trace_out)
     _emit({"command": args.command, "value": result.value,
@@ -118,18 +126,36 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .bounds import bounds_report
+    from .graph_io import read_graph
+
     g = read_graph(args.graph_in)
     report = bounds_report(g)
     print(json.dumps(report.to_json_obj(), separators=(", ", ": ")))
     return EXIT_OK
 
 
-# strategy name -> its closed_form family; path-diameter is the one strategy
-# outside the table, since it runs on any graph given by --in
-STRATEGIES = {row.strategy: family for family, row in FORMS.items() if row.strategy}
+class _StrategyNames:
+    """The ``strategy`` choices: the strategies of ``FORMS`` plus
+    path-diameter, the one strategy outside the table, since it runs on any
+    graph given by --in. Read only when a ``strategy`` command is parsed or
+    its usage printed, so no other command loads the strategies."""
+
+    def __iter__(self):
+        from .strategies import FORMS
+
+        names = [row.strategy for row in FORMS.values() if row.strategy]
+        return iter([names[0], "path-diameter", *names[1:]])  # path-diameter is listed second
+
+    def __contains__(self, name) -> bool:
+        return name in list(self)
 
 
 def cmd_strategy(args) -> int:
+    from .engine import validate_sequence, write_trace
+    from .graph_io import read_graph
+    from .strategies import FORMS, closed_form, path_diameter_strategy
+
     name = args.name
     certified = None
     if name == "path-diameter":
@@ -138,8 +164,7 @@ def cmd_strategy(args) -> int:
         g = read_graph(args.graph_in)
         trace = validate_sequence(g, path_diameter_strategy(g))
     else:
-        family = STRATEGIES[name]
-        row = FORMS[family]
+        family, row = next((f, row) for f, row in FORMS.items() if row.strategy == name)
         params = {flag: getattr(args, flag) for flag, _ in row.params}
         if None in params.values():
             raise StrategyError(f"{name} needs {' and '.join(f'--{flag}' for flag in params)}")
@@ -164,6 +189,8 @@ def cmd_strategy(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     try:
         report = verify.run_suite(args.suite)
     except verify.UnknownSuiteError as exc:
@@ -214,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("strategy", help="run a named strategy and report its rounds")
-    names = list(STRATEGIES)  # path-diameter is listed second
-    p.add_argument("name", choices=[names[0], "path-diameter", *names[1:]])
+    # set after add_argument, which would list the choices at once
+    p.add_argument("name").choices = _StrategyNames()
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--m", type=int)
@@ -259,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
     except TimeBudgetExceededError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_OUT_OF_TIME
+    except MemoryError as exc:
+        exc.__traceback__ = None  # frees the frames that hold what was allocated
+        print("out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     except (GraphError, ValueError, OSError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_ERROR

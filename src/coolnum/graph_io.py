@@ -9,7 +9,6 @@ import json
 import warnings
 from pathlib import Path
 
-from .generators import grid_coord
 from .graphs import Graph, GraphError, build_graph
 
 
@@ -61,6 +60,8 @@ def export_dot(g: Graph, path: str | Path, *, grid_side: int | None = None) -> N
     When ``grid_side`` is given, nodes get ``pos`` attributes from their grid
     coordinates so layout tools can draw the lattice.
     """
+    from .generators import grid_coord
+
     lines = ["graph G {"]
     for v in range(g.n):
         if grid_side is not None:

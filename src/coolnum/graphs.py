@@ -27,6 +27,23 @@ class DisconnectedGraphError(GraphError):
     """An operation that requires a connected graph got a disconnected one."""
 
 
+class GraphTooLargeError(ValueError):
+    """Input exceeds the solver's node cap; raise the cap explicitly to proceed."""
+
+    def __init__(self, n: int, cap: int):
+        self.n = n
+        self.cap = cap
+        super().__init__(f"graph has {n} nodes, solver cap is {cap}")
+
+
+class TimeBudgetExceededError(RuntimeError):
+    """The optional wall-clock budget of a solver ran out mid-search."""
+
+
+class StrategyError(ValueError):
+    """A strategy was asked to run outside its hypotheses."""
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph on nodes ``0..n-1``.

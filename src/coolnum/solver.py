@@ -49,23 +49,16 @@ import time
 from dataclasses import dataclass
 
 from .engine import CoolingTrace, run_burning, validate_sequence
-from .graphs import DisconnectedGraphError, Graph, GraphError
+from .graphs import (
+    DisconnectedGraphError,
+    Graph,
+    GraphError,
+    GraphTooLargeError,
+    TimeBudgetExceededError,
+)
 
 DEFAULT_COOLING_MAX_NODES = 20
 DEFAULT_BURNING_MAX_NODES = 24
-
-
-class GraphTooLargeError(ValueError):
-    """Input exceeds the solver's node cap; raise the cap explicitly to proceed."""
-
-    def __init__(self, n: int, cap: int):
-        self.n = n
-        self.cap = cap
-        super().__init__(f"graph has {n} nodes, solver cap is {cap}")
-
-
-class TimeBudgetExceededError(RuntimeError):
-    """The optional wall-clock budget ran out mid-search."""
 
 
 @dataclass(frozen=True)

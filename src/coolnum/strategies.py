@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import AbstractSet, Callable, Mapping
 
-from .bounds import grid_iso_upper_bound
 from .engine import CoolingTrace, run_cooling, validate_sequence
 from .generators import (
     gen_complete_caterpillar,
@@ -25,12 +24,8 @@ from .generators import (
     simplicial_order,
     spider_leg_nodes,
 )
-from .graphs import Graph, GraphError, bfs_distances, diameter_and_lowest_end
+from .graphs import Graph, GraphError, StrategyError, bfs_distances, diameter_and_lowest_end
 from .ilt import IltGraph, ilt_t
-
-
-class StrategyError(ValueError):
-    """A strategy was asked to run outside its hypotheses."""
 
 
 def _ceil_log2(m: int) -> int:
@@ -93,6 +88,8 @@ def _exact(v: int) -> tuple[str, int, int]:
 
 
 def _grid_window(n: int) -> tuple[str, int, int]:
+    from .bounds import grid_iso_upper_bound  # on first use: bounds loads the solver
+
     lo = 2 * n - 2 * ((n + 3).bit_length() - 1)
     return "window", lo, max(lo + 2, grid_iso_upper_bound(n).value)
 
@@ -182,8 +179,11 @@ def path_diameter_strategy(g: Graph) -> list[int]:
 
     Playing it yields at least ``ceil((diam + 2) / 2)`` rounds: the cooled
     set stays inside a ball around the path's start that grows too slowly to
-    swallow the far end any sooner.
+    swallow the far end any sooner. Raises ``GraphError`` on a graph with
+    no node and ``DisconnectedGraphError`` on a disconnected one.
     """
+    if g.n < 1:
+        raise GraphError("path-diameter strategy needs at least one node")
     path = _diametral_path(g)
     d = len(path) - 1
     want = (d + 3) // 2  # ceil((d + 2) / 2)

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from coolnum import verify
+import coolnum
+from coolnum import cli, verify
 from coolnum.cli import main
 from coolnum.engine import read_trace, validate_sequence
 from coolnum.graph_io import read_graph, write_graph
@@ -122,6 +123,29 @@ class TestSolverCommands:
         code, _, _ = run_cli("exact", "--in", str(path))
         assert code == 3
 
+    def test_out_of_memory_exit_seven(self, tmp_path, monkeypatch):
+        def exhausted(n):
+            raise MemoryError
+
+        monkeypatch.setitem(cli.FAMILIES, "grid", (exhausted, ("n",)))
+        out_file = tmp_path / "g.json"
+        assert run_cli("gen", "grid", "--n", "5", "--out", str(out_file)) == (7, "", "out of memory\n")
+        assert not out_file.exists()
+
+    # a graph with no node is bad input (exit 1) for every command, not a
+    # disconnected one (exit 3)
+    @pytest.mark.parametrize("command, err", [
+        ("exact", "solver needs at least one node"),
+        ("seqlen", "solver needs at least one node"),
+        ("burn", "solver needs at least one node"),
+        ("bounds", "bounds need at least one node"),
+        ("strategy path-diameter", "path-diameter strategy needs at least one node"),
+    ])
+    def test_empty_graph_exit_one(self, tmp_path, command, err):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0, "edges": []}')
+        assert run_cli(*command.split(), "--in", str(path)) == (1, "", err + "\n")
+
     def test_duplicate_edge_warning_is_one_line(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"n": 3, "edges": [[0, 1], [1, 0], [1, 2]]}')
@@ -190,6 +214,26 @@ class TestUsage:
     def test_help_exits_zero(self):
         code, out, _ = run_cli("exact", "--help")
         assert code == 0 and "--time-budget" in out
+
+
+class TestPinnedOutput:
+    """Exact stdout, stderr and exit code of every ``--help`` and of the error
+    exits raised inside the command layers, recorded from the CLI before
+    those layers were imported lazily. ``{p21}`` and ``{p5}`` stand for files
+    of the paths on 21 and 5 nodes."""
+
+    PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
+
+    @pytest.mark.parametrize("pin", PINS, ids=[" ".join(p["argv"]) for p in PINS])
+    def test_output_pinned(self, pin, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        monkeypatch.delenv("COOLNUM_MAX_NODES", raising=False)
+        files = {}
+        for name, n in (("p21", 21), ("p5", 5)):
+            files[name] = str(tmp_path / f"{name}.json")
+            write_graph(gen_path(n), files[name])
+        argv = [arg.format(**files) for arg in pin["argv"]]
+        assert run_cli(*argv) == (pin["code"], pin["out"], pin["err"])
 
 
 class TestBoundsCommand:
@@ -358,10 +402,74 @@ class TestDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh_python(code: str, *argv: str, cwd=None) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports coolnum from ``src``."""
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(SRC)},
+                          capture_output=True, text=True, check=True).stdout
+
+
+class TestImportFootprint:
+    """Each CLI process loads only the layers its subcommand runs, and
+    ``import coolnum`` loads none."""
+
+    RUN = ("import contextlib, io, sys\n"
+           "from coolnum import cli\n"
+           "with contextlib.redirect_stdout(io.StringIO()):\n"
+           "    code = cli.main(sys.argv[1:])\n"
+           "print(code, *sorted(m for m in sys.modules if m.startswith('coolnum.')))")
+    PARSE = {"cli", "generators", "graphs"}
+    SOLVE = PARSE | {"graph_io", "engine", "solver"}
+
+    @pytest.mark.parametrize("argv, modules", [
+        ("--help", PARSE),
+        ("gen path --n 4 --out g.json", PARSE | {"graph_io"}),
+        ("gen ilt --base path:4 --t 1 --out g.json", PARSE | {"graph_io", "ilt"}),
+        ("exact --in p5.json", SOLVE),
+        ("seqlen --in p5.json", SOLVE),
+        ("burn --in p5.json", SOLVE),
+        ("bounds --in p5.json", SOLVE | {"bounds"}),
+        ("strategy path-diameter --in p5.json", PARSE | {"graph_io", "engine", "ilt", "strategies"}),
+        # the grid window reads the isoperimetric bound
+        ("strategy grid-simplicial --n 5", SOLVE | {"ilt", "strategies", "bounds"}),
+        ("verify path-formula", PARSE | {"engine", "solver", "ilt", "strategies", "bounds",
+                                         "corpus", "verify"}),
+    ])
+    def test_subcommand_loads_only_its_layers(self, tmp_path, argv, modules):
+        write_graph(gen_path(5), tmp_path / "p5.json")
+        out = fresh_python(self.RUN, *argv.split(), cwd=tmp_path).split()
+        assert out[0] == "0"
+        assert set(out[1:]) == {f"coolnum.{m}" for m in modules}
+
+    def test_package_import_loads_no_submodule(self):
+        code = "import coolnum, sys; print(sorted(m for m in sys.modules if 'coolnum' in m))"
+        assert fresh_python(code) == "['coolnum']\n"
+
+    def test_public_names_are_their_home_objects(self):
+        from importlib import import_module
+
+        assert sorted(coolnum.__all__) == sorted(coolnum._HOMES)
+        assert set(coolnum.__all__) <= set(dir(coolnum))
+        for name, home in coolnum._HOMES.items():
+            assert getattr(coolnum, name) is getattr(import_module(f"coolnum.{home}"), name), name
+
+    def test_ilt_names_the_function_after_its_module_loads(self):
+        code = ("import coolnum.ilt, coolnum.strategies\n"  # the import system binds submodules
+                "from coolnum import ilt\n"
+                "print(ilt is coolnum.ilt is coolnum.ilt_t.__globals__['ilt'])")
+        assert fresh_python(code) == "True\n"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            coolnum.nope
+        with pytest.raises(ImportError):
+            from coolnum import nope  # noqa: F401
+
+
 def test_cli_import_loads_no_multiprocessing():
     # the search is serial; importing the pool machinery costs every CLI start
-    src = Path(__file__).resolve().parents[1] / "src"
-    out = subprocess.run(
-        [sys.executable, "-c", "import coolnum.cli, sys; print('multiprocessing' in sys.modules)"],
-        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, check=True)
-    assert out.stdout == "False\n"
+    code = "import coolnum.cli, sys; print('multiprocessing' in sys.modules)"
+    assert fresh_python(code) == "False\n"

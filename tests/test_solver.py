@@ -251,6 +251,17 @@ class TestPinnedWork:
         res = cooling_number(gen_path(40), SearchLimits(max_nodes=40), jobs=2)
         assert (res.value, res.stats.expanded) == (21, 19)
 
+    # the cover search tries the largest ball first, so its first cover, the
+    # witness, and its work depend on the radius order
+    @pytest.mark.parametrize("graph, pinned", [
+        (gen_path(9), (3, (2, 6, 8), 16, 4)),
+        (gen_grid(4), (4, (0, 2, 15, 13), 80, 9)),
+        (gen_cycle(8), (3, (0, 3, 5), 10, 0)),
+    ], ids=["path9", "grid4", "cycle8"])
+    def test_burning_witness_and_work(self, graph, pinned):
+        res = burning_number(graph)
+        assert (res.value, res.witness.sources, res.stats.expanded, res.stats.memo_hits) == pinned
+
     def test_cuts_are_zero_without_pruning_and_for_burning(self):
         stats = cooling_number(gen_cycle(9), prune=False).stats
         assert (stats.ecc_cuts, stats.counting_cuts) == (0, 0)

@@ -1,12 +1,15 @@
-"""Mutation gate for the cooling search's memo key and pruning rules.
+"""Mutation gate for the searches' memo key, pruning rules and reductions.
 
-Each mutant replaces one exact snippet of ``src/coolnum/solver.py`` (a
-single token or operand where possible) in a throwaway copy of the repo,
-then runs ``tests/test_solver.py``, ``tests/test_properties.py`` and
-``tests/test_acceptance.py`` with ``-x``. A mutant is killed when that run
-fails and survives when it passes. Mutants marked equivalent change no
-value, witness or work counter, so their survival is expected; any other
-survivor means a rule the tests do not guard, and the gate exits 1.
+Each mutant replaces one exact snippet of one module under ``src/coolnum``
+(a single token or operand where possible): the cooling search's key and
+pruning rules and the burning search's radius order in ``solver.py``, the
+orbit reduction in ``graphs.py``. It does so in a throwaway copy of the
+repo, then runs ``tests/test_graphs.py``, ``tests/test_solver.py``,
+``tests/test_properties.py`` and ``tests/test_acceptance.py`` with ``-x``.
+A mutant is killed when that run fails and survives when it passes. Mutants
+marked equivalent change no value, witness or work counter, so their
+survival is expected; any other survivor means a rule the tests do not
+guard, and the gate exits 1.
 
 Run from the repo root (stdlib only; the tests need pytest)::
 
@@ -28,9 +31,10 @@ import time
 from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SOLVER = os.path.join("src", "coolnum", "solver.py")
-TESTS = ["tests/test_solver.py", "tests/test_properties.py", "tests/test_acceptance.py"]
-TIMEOUT_S = 300  # the three files take about 10 s on a 2-core machine
+PACKAGE = os.path.join("src", "coolnum")
+TESTS = ["tests/test_graphs.py", "tests/test_solver.py", "tests/test_properties.py",
+         "tests/test_acceptance.py"]
+TIMEOUT_S = 300  # the four files take about 10 s on a 2-core machine
 
 
 @dataclass(frozen=True)
@@ -39,6 +43,7 @@ class Mutant:
     old: str
     new: str
     equivalent: str | None = None  # why the mutant cannot change behaviour
+    module: str = "solver.py"  # the file under src/coolnum it edits
 
 
 MUTANTS = [
@@ -91,12 +96,26 @@ MUTANTS = [
     Mutant("root-tie", "if v > best:", "if v >= best:"),
     Mutant("deadline-first-state", "self.expanded % 64 == 1", "self.expanded % 64 == 0"),
     Mutant("burn-deadline-first-state", "expanded % 1024 == 1", "expanded % 1024 == 0"),
+    # the burning search's radius order: the largest ball first, and the
+    # centers replayed from the largest radius down
+    Mutant("burn-radii-ascending", "tuple(range(k - 1, -1, -1))", "tuple(range(k))"),
+    Mutant("burn-radii-no-zero", "tuple(range(k - 1, -1, -1))", "tuple(range(k - 1, 0, -1))"),
+    Mutant("burn-replay-ascending", "key=lambda rc: -rc[0]", "key=lambda rc: rc[0]"),
+    # the orbit reduction: twins merge by equal open or closed neighbourhoods,
+    # and a permutation merges its cycles only once it maps every edge onto one
+    Mutant("twin-open-key", "(lambda v: adj[v], lambda", "(lambda v: len(adj[v]), lambda",
+           module="graphs.py"),
+    Mutant("twin-closed-key", "lambda v: frozenset(adj[v]) | {v}", "lambda v: frozenset(adj[v])",
+           module="graphs.py"),
+    Mutant("automorphism-any-permutation",
+           "return perm if all(masks[perm[u]] >> perm[v] & 1 for u, v in edges) else None",
+           "return perm", module="graphs.py"),
 ]
 
 
 def apply(source: str, m: Mutant) -> str:
     if source.count(m.old) != 1:
-        raise SystemExit(f"mutant {m.name}: {m.old!r} must occur exactly once in {SOLVER}")
+        raise SystemExit(f"mutant {m.name}: {m.old!r} must occur exactly once in {m.module}")
     return source.replace(m.old, m.new)
 
 
@@ -107,7 +126,7 @@ def run(m: Mutant, source: str, scratch: str) -> tuple[bool, float, str]:
         shutil.copytree(os.path.join(ROOT, part), os.path.join(copy, part),
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(os.path.join(ROOT, "pyproject.toml"), copy)
-    with open(os.path.join(copy, SOLVER), "w") as fh:
+    with open(os.path.join(copy, PACKAGE, m.module), "w") as fh:
         fh.write(apply(source, m))
     env = dict(os.environ, PYTHONPATH=os.path.join(copy, "src"), PYTHONDONTWRITEBYTECODE="1")
     start = time.monotonic()
@@ -132,14 +151,16 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         ap.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [by_name[n] for n in args.names] if args.names else MUTANTS
-    with open(os.path.join(ROOT, SOLVER)) as fh:
-        source = fh.read()
+    sources = {}
     for m in chosen:
-        apply(source, m)  # a stale snippet fails before anything runs
+        if m.module not in sources:
+            with open(os.path.join(ROOT, PACKAGE, m.module)) as fh:
+                sources[m.module] = fh.read()
+        apply(sources[m.module], m)  # a stale snippet fails before anything runs
     bad = []
     with tempfile.TemporaryDirectory(prefix="coolnum-mutate-") as scratch:
         for m in chosen:
-            killed, secs, last = run(m, source, scratch)
+            killed, secs, last = run(m, sources[m.module], scratch)
             if killed:
                 verdict = "killed"
             elif m.equivalent:

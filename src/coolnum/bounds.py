@@ -22,8 +22,7 @@ from functools import cache
 from typing import AbstractSet, NamedTuple
 
 from .generators import gen_grid, simplicial_order
-from .graphs import DisconnectedGraphError, Graph, GraphError, diameter
-from .solver import GraphTooLargeError, SearchLimits, burning_number
+from .graphs import DisconnectedGraphError, Graph, GraphError, GraphTooLargeError, diameter
 
 DEFAULT_PROFILE_CAP = 16
 
@@ -269,6 +268,8 @@ def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP) -> BoundsRepo
         iso_value, iso_traj = bound.value, bound.trajectory
     else:
         skipped.append("iso_upper")
+    from .solver import SearchLimits, burning_number  # only the burning bound searches
+
     burn = None
     try:
         burn = burning_number(g, SearchLimits()).value

@@ -8,15 +8,19 @@ one closed neighbourhood share one memo entry. A state ``K = N[C]`` spreads
 once, to ``N[K]``, and the key of its child with source ``s`` is
 ``N[K | {s}] = N[K] | N[s]``, one OR. A full boundary is decided before
 its key is formed: it ends the run, while a boundary that is not full but
-whose spread fills the graph still takes one more round. Pruning is restricted to bounds that
-cannot cut an optimal branch, so memoized values stay exact:
+whose spread fills the graph still takes one more round. The search starts
+from key ``0``, the empty boundary, whose children ``N[s]`` are the listed
+first sources ``s``: only the lowest of each automorphism orbit, since
+first sources in one orbit have the same value. Pruning is restricted to
+bounds that cannot cut an optimal branch, so memoized values stay exact:
 
-* from a state with ``u`` uncooled nodes at most ``ceil((u+1)/2)`` rounds
-  remain (every non-final round cools a spread node plus a source); once a
-  child reaches that bound, the remaining children are not searched;
+* from a state with ``u`` nodes outside its key at most ``u // 2 + 1``
+  rounds and ``(u - 1) // 2 + 1`` sources remain, since every round that
+  picks a source and does not end the run adds the source and at least one
+  more node to the key; once a child reaches that bound, the remaining
+  children are not searched;
 * at most ``ecc(C)`` rounds remain from cooled set ``C``, since spread alone
-  reaches every node within ``ecc(C)`` rounds and sources only accelerate
-  (the state-local form of the diameter+1 bound);
+  reaches every node within ``ecc(C)`` rounds and sources only accelerate;
 * at most ``ecc(C) - 1`` sources remain from a cooled set ``C`` that is not
   full: a run from ``C`` lasts at most ``ecc(C)`` rounds, and if it lasts
   exactly that many, the spread of its last round already cools every
@@ -30,11 +34,10 @@ memoized value do not change. The child boundary is ``K | {s}``, so each
 state ORs the cached balls (:attr:`Graph.balls`) of radius ``r`` around the
 members of ``K`` into one union, rebuilt only when ``value`` rises, and a
 child is skipped when that union ORed with the radius-``r`` ball of ``s`` is
-every node. The same bounds cap each first source at ``ecc(s)`` and the
-whole search at the diameter (plus one for rounds). Every bound is
-cross-checked against unpruned search in the test suite. First sources in
-one automorphism orbit have the same value, so only the lowest listed node
-of each orbit is searched.
+every node. At the empty boundary these are the paper's caps on a whole
+run: ``floor(n/2) + 1`` rounds by counting, and ``diameter + 1`` by
+eccentricity, since ``ecc(s)`` is at most the diameter for every ``s``.
+Every bound is cross-checked against unpruned search in the test suite.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -108,11 +111,10 @@ class _MaxSearch:
 
     def __init__(self, g: Graph, objective: int, prune: bool, use_memo: bool,
                  deadline: float | None):
-        self.n = g.n
-        self.distances = g.distances
         self.masks = g.neighbor_masks
         self.balls = g.balls
         self.full = (1 << g.n) - 1
+        self.first = self.full  # the first sources the empty boundary branches on
         self.top = len(self.balls[0]) - 1  # the diameter, the last ball radius
         self.objective = objective
         # a child within value - 1 + slack hops of every node cannot beat value:
@@ -153,7 +155,8 @@ class _MaxSearch:
 
     def best_from(self, key: int) -> int:
         """Objective value achievable from a round boundary that is not full,
-        given the set ``key`` its next spread cools."""
+        given the set ``key`` its next spread cools; key 0 is the empty
+        boundary before the first round."""
         if key == self.full:
             # the next round's spread finishes the process: one final round,
             # no further source
@@ -168,18 +171,18 @@ class _MaxSearch:
             if time.monotonic() > self.deadline:
                 raise TimeBudgetExceededError("search exceeded its time budget")
         full = self.full
-        rem = full ^ key
-        u = rem.bit_count()
-        counting = (u + 1) // 2 if self.objective == _ROUNDS else (u - 1) // 2
+        u = (full ^ key).bit_count()
+        counting = u // 2 if self.objective == _ROUNDS else (u - 1) // 2
+        rem = full ^ key if key else self.first
         value = choice = 0
         balls, masks = self.balls, self.masks
         nxt = self._spread(key)  # N[key | {s}] is nxt | N[s] for every child s
-        reach = r = 0  # reach stays 0 until pruning has a value to beat
+        reach, r = 0, -1  # r stays -1 until pruning has a value to beat
         while rem:
             low = rem & -rem
             rem ^= low
             i = low.bit_length() - 1
-            if reach and (reach | balls[i][r]) == full:
+            if r >= 0 and (reach | balls[i][r]) == full:
                 self.ecc_cuts += 1
                 continue
             # a full boundary ends the run; its key would be full too, which
@@ -198,43 +201,15 @@ class _MaxSearch:
         self.memo[key] = (value, choice)
         return value
 
-    def reconstruct(self, root: int) -> list[int]:
-        """Lowest-id optimal source list starting from first source ``root``."""
-        seq = [root]
-        key = self.masks[root] | 1 << root
-        while key != self.full:
+    def solve(self, first: int) -> tuple[int, list[int]]:
+        """Value and lowest-id witness over the first sources in the mask ``first``."""
+        self.first = first
+        value, seq, key = self.best_from(0), [], 0
+        while key != self.full:  # walk the memoized choices from the empty boundary
             choice = self.memo[key][1]
             seq.append(choice)
             key = self._spread(key) | self.masks[choice] | 1 << choice
-        return seq
-
-    @property
-    def global_cap(self) -> int:
-        """Most rounds (``diameter + 1``) or sources (``diameter``) any run of a
-        connected graph with at least two nodes can have, capped by counting."""
-        if self.objective == _ROUNDS:
-            return min(self.top + 1, (self.n + 2) // 2)
-        return min(self.top, (self.n + 1) // 2)
-
-    def solve(self, roots: list[int]) -> tuple[int, list[int]]:
-        """Search the given first-source choices; ties go to the lowest root.
-
-        Returns the value and the witness sources; the work counters stay
-        on the search."""
-        n, cap = self.n, self.global_cap
-        counting = (n + 1) // 2 if self.objective == _ROUNDS else (n - 1) // 2
-        best, best_root = 0, -1
-        for s in roots:
-            if self.prune and best_root >= 0:
-                if best >= 1 + min(counting, max(self.distances[s]) - self.slack):
-                    continue  # this root cannot strictly beat the incumbent
-            low = 1 << s
-            v = 1 if low == self.full else 1 + self.best_from(self.masks[s] | low)
-            if v > best:
-                best, best_root = v, s
-                if self.prune and best >= cap:
-                    break
-        return best, self.reconstruct(best_root)
+        return value, seq
 
 
 def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchLimits:
@@ -271,13 +246,11 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     if first_sources is None:
         listed = list(range(g.n))
     else:
-        listed = sorted(set(first_sources))
+        listed = list(first_sources)
+        # a bool or a float is no node id, even where it equals one
+        listed = sorted(set(listed)) if all(type(s) is int for s in listed) else []
         if not listed or listed[0] < 0 or listed[-1] >= g.n:
             raise GraphError(f"first_sources must be node ids in 0..{g.n - 1}")
-
-    if g.n == 1:
-        trace = validate_sequence(g, [0])
-        return SearchResult(1, trace, SearchStats(0, 0, time.monotonic() - start, 1))
 
     # an automorphism carries one root's search onto another's, so the lowest
     # listed node of each orbit stands for the rest: memo values are exact
@@ -287,7 +260,7 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
         kept.setdefault(g.orbits[s], s)
     roots = list(kept.values())
     search = _MaxSearch(g, objective, prune, use_memo, deadline)
-    value, seq = search.solve(roots)
+    value, seq = search.solve(sum(1 << s for s in roots))
 
     trace = validate_sequence(g, seq)
     achieved = trace.num_rounds if objective == _ROUNDS else len(trace.sources)

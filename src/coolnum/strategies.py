@@ -88,7 +88,7 @@ def _exact(v: int) -> tuple[str, int, int]:
 
 
 def _grid_window(n: int) -> tuple[str, int, int]:
-    from .bounds import grid_iso_upper_bound  # on first use: bounds loads the solver
+    from .bounds import grid_iso_upper_bound  # on first use: only the grid window reads it
 
     lo = 2 * n - 2 * ((n + 3).bit_length() - 1)
     return "window", lo, max(lo + 2, grid_iso_upper_bound(n).value)

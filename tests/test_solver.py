@@ -26,7 +26,8 @@ def complete_graph(n):
 
 def all_roots(g, objective):
     """``(value, sources)`` of the search from every first source, no orbit reduction."""
-    return solver._MaxSearch(g, objective, True, True, None).solve(list(range(g.n)))
+    search = solver._MaxSearch(g, objective, True, True, None)
+    return search.solve(search.full)
 
 
 def small_sample():
@@ -157,8 +158,10 @@ class TestCoolingNumber:
 
     @pytest.mark.parametrize("solve", [cooling_number, max_sequence_length, burning_number])
     def test_time_budget_checked_on_the_first_state(self, solve):
-        with pytest.raises(TimeBudgetExceededError):
-            solve(gen_path(5), SearchLimits(time_budget=0))
+        # a 1-node graph too: the cooling-side first state is its empty boundary
+        for n in (5, 1):
+            with pytest.raises(TimeBudgetExceededError):
+                solve(gen_path(n), SearchLimits(time_budget=0))
 
     @pytest.mark.parametrize("budget", [float("nan"), -1])
     def test_nan_or_negative_time_budget_refused(self, budget):
@@ -202,6 +205,13 @@ class TestCoolingNumber:
                     solve(gen_path(1), first_sources=bad)
             assert solve(gen_path(1), first_sources=[0]).value == 1
 
+    @pytest.mark.parametrize("bad", [[True], [1.5], [0, 2.0]])
+    def test_first_sources_must_be_ints(self, bad):
+        # True equals node 1 and 2.0 equals node 2, but neither is a node id
+        for solve in (cooling_number, max_sequence_length):
+            with pytest.raises(GraphError, match=r"^first_sources must be node ids in 0\.\.2$"):
+                solve(gen_path(3), first_sources=bad)
+
 
 class TestPinnedWork:
     """Deterministic work counts; a change here is a change to the search."""
@@ -210,17 +220,17 @@ class TestPinnedWork:
 
     def test_grid5(self):
         stats = cooling_number(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (62, 356, 2)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (63, 352, 9)
 
     def test_cycle24(self):
         stats = cooling_number(gen_cycle(24), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (184, 812, 11)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (185, 746, 44)
 
     @pytest.mark.parametrize("solve, graph, pinned", [
-        (cooling_number, gen_grid(6), (8, 527, 1432, 4500, 4)),
-        (max_sequence_length, gen_grid(6), (8, 116, 187, 1313, 4)),
-        (cooling_number, gen_spider(4, 4), (7, 200, 663, 371, 33)),
-        (max_sequence_length, gen_cycle(18), (6, 54, 31, 188, 16)),
+        (cooling_number, gen_grid(6), (8, 528, 1432, 4484, 20)),
+        (max_sequence_length, gen_grid(6), (8, 117, 187, 1317, 4)),
+        (cooling_number, gen_spider(4, 4), (7, 201, 606, 230, 98)),
+        (max_sequence_length, gen_cycle(18), (6, 55, 31, 188, 16)),
     ], ids=["grid6", "seqlen-grid6", "spider-4x4", "seqlen-cycle18"])
     def test_search_workload_instances(self, solve, graph, pinned):
         res = solve(graph, SearchLimits(max_nodes=36))
@@ -228,28 +238,29 @@ class TestPinnedWork:
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
 
     def test_global_cap_stops_the_root_loop(self):
-        # the first root reaches the cap (n + 2) // 2 = 5; the root skip alone
-        # would still search node 1, whose eccentricity is 7
+        # the first root reaches the counting bound 9 // 2 + 1 = 5 of the
+        # empty boundary, which ends the first round; the eccentricity test
+        # alone would still search node 1, whose eccentricity is 7
         res = cooling_number(gen_path(9))
-        assert (res.value, res.stats.expanded, res.stats.memo_hits) == (5, 6, 2)
+        assert (res.value, res.stats.expanded, res.stats.memo_hits) == (5, 5, 0)
 
     def test_expanded_without_lookups(self):
         # with lookups off a state can be expanded more than once
-        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 23
+        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 24
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (24, 207, 3)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (25, 211, 3)
 
     def test_seqlen_search_pool_graph_10(self):
         # 85,883 states when the source count was capped by counting alone
         res = max_sequence_length(search_pool_graph(10), SearchLimits(max_nodes=40))
-        assert (res.value, res.stats.expanded) == (6, 10)
+        assert (res.value, res.stats.expanded) == (6, 11)
 
     def test_path40_jobs2_searches_serially(self):
         # 670,224 states when jobs=2 split the roots over two pooled workers
         res = cooling_number(gen_path(40), SearchLimits(max_nodes=40), jobs=2)
-        assert (res.value, res.stats.expanded) == (21, 19)
+        assert (res.value, res.stats.expanded) == (21, 20)
 
     # the cover search tries the largest ball first, so its first cover, the
     # witness, and its work depend on the radius order
@@ -495,10 +506,47 @@ class TestOrbitReduction:
 
     def test_fewer_states_than_all_roots(self):
         g = gen_cycle(16)
-        # CL = 6 stays below the global cap of 9, which never cuts the root loop short
+        # CL = 6 stays below min(d + 1, n // 2 + 1) = 9, so no cut ends the first round early
         search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
-        search.solve(list(range(g.n)))
+        search.solve(search.full)
         assert cooling_number(g).stats.expanded < search.expanded
+
+
+class TestFirstRound:
+    """The first round is the search state of the empty boundary, whose
+    children are the listed first sources."""
+
+    def test_root_mask_matches_single_first_sources(self):
+        rng = random.Random(67)
+        for _ in range(60):
+            g = random_connected_graph(rng, rng.randrange(6, 15), rng.choice([0.1, 0.3]))
+            listed = rng.sample(range(g.n), rng.randrange(1, g.n + 1))
+            for solve in (cooling_number, max_sequence_length):
+                res = solve(g, first_sources=listed)
+                singles = {s: solve(g, prune=False, first_sources=[s]) for s in sorted(listed)}
+                best = max(r.value for r in singles.values())
+                lowest = min(s for s, r in singles.items() if r.value == best)
+                assert res.value == best, (g.adj, listed)
+                assert res.witness.sources[0] == lowest, (g.adj, listed)
+                assert res.witness == singles[lowest].witness, (g.adj, listed)
+
+    def test_counting_bound_is_sound_and_tight(self, corpus):
+        """From a state with ``u`` nodes outside its key at most ``u // 2 + 1``
+        rounds and ``(u - 1) // 2 + 1`` sources remain, and every memo state
+        of the unpruned search obeys both; each bound is met for every ``u``
+        up to 10, so a cut one lower would lose answers."""
+        for objective, bound in ((solver._ROUNDS, lambda u: u // 2 + 1),
+                                 (solver._SOURCES, lambda u: (u - 1) // 2 + 1)):
+            met = set()
+            for name, g in corpus:
+                search = solver._MaxSearch(g, objective, False, True, None)
+                search.solve(search.full)
+                for key, (value, _) in search.memo.items():
+                    u = g.n - key.bit_count()
+                    assert value <= bound(u), (name, objective, key)
+                    if value == bound(u):
+                        met.add(u)
+            assert met >= set(range(1, 11)), objective
 
 
 class TestBoundsDuringSearch:
@@ -509,20 +557,24 @@ class TestBoundsDuringSearch:
             assert (d + 3) // 2 <= cl <= min(d + 1, (g.n + 2) // 2)
 
     def test_global_caps_hold_and_are_met(self, corpus):
-        def global_cap(g, objective):
-            return solver._MaxSearch(g, objective, True, True, None).global_cap
+        """The diameter and order caps on a whole run, which the search meets
+        as the eccentricity and counting cuts of the empty boundary."""
+        def global_cap(g, solve):
+            n, d = g.n, diameter(g)
+            if solve is cooling_number:
+                return min(d + 1, (n + 2) // 2)
+            return min(d, (n + 1) // 2)
 
         for name, g in corpus:
             if g.n > 1:
-                for objective, solve in ((solver._ROUNDS, cooling_number),
-                                         (solver._SOURCES, max_sequence_length)):
-                    assert solve(g).value <= global_cap(g, objective), name
+                for solve in (cooling_number, max_sequence_length):
+                    assert solve(g).value <= global_cap(g, solve), name
         # on these sparse graphs a run reaches d + 1 rounds with d sources
         for i in (2, 11, 13):
             g = search_pool_graph(i)
             d = diameter(g)
-            assert global_cap(g, solver._ROUNDS) == d + 1
-            assert global_cap(g, solver._SOURCES) == d
+            assert global_cap(g, cooling_number) == d + 1
+            assert global_cap(g, max_sequence_length) == d
             assert cooling_number(g, SearchLimits(max_nodes=40)).value == d + 1, i
             assert max_sequence_length(g, SearchLimits(max_nodes=40)).value == d, i
 

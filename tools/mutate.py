@@ -50,19 +50,25 @@ MUTANTS = [
     # the post-spread key: closed neighbourhoods, and a full boundary decided
     # before its key is formed
     Mutant("child-key-open", "best_from(nxt | masks[i] | low)", "best_from(nxt | masks[i])"),
-    Mutant("root-key-open", "best_from(self.masks[s] | low)", "best_from(self.masks[s])"),
     Mutant("walk-key-open", "self.masks[choice] | 1 << choice", "self.masks[choice]"),
     Mutant("child-full-boundary", "v = 1 if key | low == full else", "v = 1 if False else"),
-    Mutant("root-full-boundary", "v = 1 if low == self.full else", "v = 1 if False else"),
     Mutant("full-key-value", "return 1 if self.objective == _ROUNDS else 0",
            "return 0 if self.objective == _ROUNDS else 0"),
+    # the first round: the empty boundary branches on the listed first
+    # sources, and counts every node as uncooled
+    Mutant("root-mask-ignored", "rem = full ^ key if key else self.first", "rem = full ^ key"),
+    Mutant("root-count-mask", "u = (full ^ key).bit_count()",
+           "u = (full ^ key if key else self.first).bit_count()"),
     # counting bound
-    Mutant("counting-rounds", "counting = (u + 1) // 2 if", "counting = u // 2 if"),
-    Mutant("counting-rounds-loose", "counting = (u + 1) // 2 if", "counting = (u + 2) // 2 if"),
+    Mutant("counting-rounds", "counting = u // 2 if", "counting = (u - 1) // 2 if"),
+    Mutant("counting-rounds-loose", "counting = u // 2 if", "counting = (u + 1) // 2 if"),
     Mutant("counting-sources", "else (u - 1) // 2", "else u // 2 - 1"),
     Mutant("counting-sources-loose", "else (u - 1) // 2", "else u // 2"),
     Mutant("counting-compare", "if value > counting:", "if value >= counting:"),
-    # eccentricity bound
+    # eccentricity bound, and the no-value sentinel it waits for: the empty
+    # boundary's reach is 0, so reach cannot tell whether a value exists
+    Mutant("ecc-no-value-reach", "if r >= 0 and", "if reach and"),
+    Mutant("ecc-no-value-zero", "reach, r = 0, -1", "reach, r = 0, 0"),
     Mutant("ecc-r-1", "self._reach(key, r)", "self._reach(key, r - 1)"),
     Mutant("ecc-r+1", "self._reach(key, r)", "self._reach(key, r + 1)"),
     Mutant("ecc-radius-low", "r = value - 1 + self.slack", "r = value - 2 + self.slack"),
@@ -71,29 +77,8 @@ MUTANTS = [
            "self.slack = 0 if objective == _ROUNDS else 0"),
     Mutant("ecc-slack-rounds", "self.slack = 0 if objective == _ROUNDS else 1",
            "self.slack = 1 if objective == _ROUNDS else 1"),
-    # root skip
-    Mutant("root-skip-compare", "if best >= 1 + min(counting,", "if best > 1 + min(counting,"),
-    Mutant("root-skip-slack", "max(self.distances[s]) - self.slack)",
-           "max(self.distances[s]) + self.slack)"),
-    Mutant("root-skip-ecc", "max(self.distances[s]) - self.slack)",
-           "max(self.distances[s]) - self.slack - 1)"),
-    Mutant("root-skip-counting", "counting = (n + 1) // 2 if", "counting = n // 2 if",
-           equivalent="equal for even n; for odd n a skip needs best >= 1 + n // 2, which is "
-                      "(n + 2) // 2 >= the global cap, so the root loop has already stopped"),
-    Mutant("root-skip-counting-sources", "else (n - 1) // 2", "else (n - 2) // 2"),
-    # global cap
-    Mutant("cap-rounds-diameter", "return min(self.top + 1, (self.n + 2) // 2)",
-           "return min(self.top, (self.n + 2) // 2)"),
-    Mutant("cap-rounds-counting", "return min(self.top + 1, (self.n + 2) // 2)",
-           "return min(self.top + 1, (self.n + 1) // 2)"),
-    Mutant("cap-sources-diameter", "return min(self.top, (self.n + 1) // 2)",
-           "return min(self.top - 1, (self.n + 1) // 2)"),
-    Mutant("cap-sources-counting", "return min(self.top, (self.n + 1) // 2)",
-           "return min(self.top, self.n // 2)"),
-    Mutant("cap-compare", "if self.prune and best >= cap:", "if self.prune and best > cap:"),
     # ties and the time budget
     Mutant("child-tie", "if v > value:", "if v >= value:"),
-    Mutant("root-tie", "if v > best:", "if v >= best:"),
     Mutant("deadline-first-state", "self.expanded % 64 == 1", "self.expanded % 64 == 0"),
     Mutant("burn-deadline-first-state", "expanded % 1024 == 1", "expanded % 1024 == 0"),
     # the burning search's radius order: the largest ball first, and the

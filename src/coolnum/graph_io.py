@@ -15,8 +15,9 @@ from .graphs import Graph, GraphError, build_graph
 def read_graph(path: str | Path) -> Graph:
     """Load a graph file, deduplicating repeated edges with a warning."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # a file nested too deeply for the parser is no graph file either
         raise GraphError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict) or "n" not in data or "edges" not in data:
         raise GraphError(f'{path}: expected an object with "n" and "edges"')

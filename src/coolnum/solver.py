@@ -1,24 +1,38 @@
 """Exact solvers for the cooling number, maximum sequence length, and burning number.
 
-The cooling-side solvers run a depth-first search over round boundaries,
-memoized on the post-spread set: the future of the process after a boundary
-``C`` depends only on the set ``N[C]`` that the next spread cools, never on
-``C`` itself or on how many rounds it took to get there. So boundaries with
-one closed neighbourhood share one memo entry. A state ``K = N[C]`` spreads
-once, to ``N[K]``, and the key of its child with source ``s`` is
-``N[K | {s}] = N[K] | N[s]``, one OR. A full boundary is decided before
-its key is formed: it ends the run, while a boundary that is not full but
-whose spread fills the graph still takes one more round. The search starts
-from key ``0``, the empty boundary, whose children ``N[s]`` are the listed
-first sources ``s``: only the lowest of each automorphism orbit, since
-first sources in one orbit have the same value. Pruning is restricted to
-bounds that cannot cut an optimal branch, so memoized values stay exact:
+The cooling-side solvers decide thresholds by depth-first search:
+``at_least(K, t)`` asks whether the run from a round boundary can still
+last ``t`` rounds (or pick ``t`` sources), and returns at the first child,
+in id order, that reaches ``t - 1``. It is memoized on the post-spread set:
+the future after a boundary ``C`` depends only on the set ``N[C]`` that the
+next spread cools, so boundaries with one closed neighbourhood share one
+entry. A state ``K = N[C]`` spreads once, to ``N[K]``, and its child with
+source ``s`` has key ``N[K] | N[s]``, one OR. A full boundary is decided
+before its key is formed: it ends the run, while a boundary that is not
+full but whose spread fills the graph takes one more round. Each entry is
+``(lo, hi, choice)``: the value lies in ``[lo, hi]`` and ``choice`` is the
+lowest-id child that reaches ``lo``; only a threshold strictly between
+``lo`` and ``hi`` expands the key again. The search starts from key ``0``,
+the empty boundary, whose children are the listed first sources, the
+lowest of each automorphism orbit, since first sources in one orbit have
+the same value.
+
+The root is probed down from the paper's caps on a whole run,
+``min(diameter + 1, floor(n/2) + 1)`` rounds and ``min(diameter,
+ceil(n/2))`` sources, until a probe holds; that probe is the value. The
+witness walks from key ``0`` with the value as its need: at each state it
+takes the memo's choice when ``lo`` equals the need, and otherwise expands
+the state once at the need, then lowers the need by one. Along the walk
+the need is the state's exact value, so each step takes the lowest-id
+child that keeps the optimum, the lexicographically first optimal run.
+
+Pruning is restricted to bounds that cannot cut a branch that reaches the
+threshold, so every memo bound stays exact:
 
 * from a state with ``u`` nodes outside its key at most ``u // 2 + 1``
   rounds and ``(u - 1) // 2 + 1`` sources remain, since every round that
   picks a source and does not end the run adds the source and at least one
-  more node to the key; once a child reaches that bound, the remaining
-  children are not searched;
+  more node to the key; a call above that count fails without expanding;
 * at most ``ecc(C)`` rounds remain from cooled set ``C``, since spread alone
   reaches every node within ``ecc(C)`` rounds and sources only accelerate;
 * at most ``ecc(C) - 1`` sources remain from a cooled set ``C`` that is not
@@ -26,18 +40,16 @@ bounds that cannot cut an optimal branch, so memoized values stay exact:
   exactly that many, the spread of its last round already cools every
   remaining node, so that round picks no source.
 
-The eccentricity bounds are tested once per child: a child whose every node
-lies within ``r = value - 1`` hops (rounds) or ``r = value`` hops (sources)
-cannot strictly beat the current best ``value``, so it is skipped; its id is
-higher than the current choice's, so the lowest-id optimal choice and the
-memoized value do not change. The child boundary is ``K | {s}``, so each
-state ORs the cached balls (:attr:`Graph.balls`) of radius ``r`` around the
-members of ``K`` into one union, rebuilt only when ``value`` rises, and a
-child is skipped when that union ORed with the radius-``r`` ball of ``s`` is
-every node. At the empty boundary these are the paper's caps on a whole
-run: ``floor(n/2) + 1`` rounds by counting, and ``diameter + 1`` by
-eccentricity, since ``ecc(s)`` is at most the diameter for every ``s``.
-Every bound is cross-checked against unpruned search in the test suite.
+The eccentricity bounds are tested once per child, at a radius fixed for
+the whole call: a child whose every node lies within ``r = t - 2`` hops
+(rounds) or ``r = t - 1`` hops (sources) cannot reach ``t - 1`` more, so it
+is skipped. The child boundary is ``K | {s}``, so a call ORs the cached
+balls (:attr:`Graph.balls`) of radius ``r`` around the members of ``K``
+into one union, and a child is skipped when that union ORed with the
+radius-``r`` ball of ``s`` is every node. At ``t = 1`` every child
+succeeds, a full boundary too, so the test starts at ``t = 2``. Every
+bound is cross-checked against unpruned search in the test suite, and the
+caps against a solver-free enumeration of every run.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -79,11 +91,15 @@ class SearchLimits:
 
 @dataclass(frozen=True)
 class SearchStats:
-    """Work counters of one search. ``roots`` counts the first sources the
-    cooling-side searches ran, one per automorphism orbit found among the
-    listed ones. ``ecc_cuts`` counts children skipped by the eccentricity
-    bound and ``counting_cuts`` the child loops stopped by the counting
-    bound. All three are 0 for burning."""
+    """Work counters of one search. For the cooling-side searches
+    ``expanded`` counts a state once for each threshold that expands it,
+    plus the states the witness walk expands. ``roots`` counts the first
+    sources they ran, one per automorphism orbit found among the listed
+    ones, and ``probes`` the thresholds tried at the empty boundary.
+    ``ecc_cuts`` counts children skipped by the eccentricity bound and
+    ``counting_cuts`` the calls the counting bound failed without
+    expanding. All four are 0 for burning, whose ``memo_hits`` counts its
+    failed-cover cache hits."""
 
     expanded: int
     memo_hits: int
@@ -91,6 +107,7 @@ class SearchStats:
     roots: int = 0
     ecc_cuts: int = 0
     counting_cuts: int = 0
+    probes: int = 0
 
 
 @dataclass(frozen=True)
@@ -107,7 +124,7 @@ _SOURCES = 1
 
 
 class _MaxSearch:
-    """Shared DFS core for maximizing rounds or source count."""
+    """Shared threshold search for the most rounds or the most sources."""
 
     def __init__(self, g: Graph, objective: int, prune: bool, use_memo: bool,
                  deadline: float | None):
@@ -117,15 +134,18 @@ class _MaxSearch:
         self.first = self.full  # the first sources the empty boundary branches on
         self.top = len(self.balls[0]) - 1  # the diameter, the last ball radius
         self.objective = objective
-        # a child within value - 1 + slack hops of every node cannot beat value:
-        # at most ecc rounds, or ecc - 1 sources, remain from it
+        # a child within t - 2 + slack hops of every node cannot reach t - 1
+        # more: at most ecc rounds, or ecc - 1 sources, remain from it
         self.slack = 0 if objective == _ROUNDS else 1
         self.prune = prune
         self.use_memo = use_memo
         self.deadline = deadline
-        # value and lowest-id optimal source per post-spread set; always
-        # written so witnesses reconstruct even with lookups disabled
-        self.memo: dict[int, tuple[int, int]] = {}
+        # per post-spread set: the objective is at least lo and at most hi,
+        # and choice is the lowest-id child that reaches lo; always written,
+        # so the witness walk reads it even with lookups disabled
+        self.memo: dict[int, tuple[int, int, int]] = {}
+        self.unknown = (0, g.n, -1)
+        self.probes = 0
         self.expanded = 0
         self.memo_hits = 0
         self.ecc_cuts = 0
@@ -153,62 +173,76 @@ class _MaxSearch:
             mask ^= low
         return acc
 
-    def best_from(self, key: int) -> int:
-        """Objective value achievable from a round boundary that is not full,
-        given the set ``key`` its next spread cools; key 0 is the empty
-        boundary before the first round."""
+    def at_least(self, key: int, t: int) -> bool:
+        """Whether the run from a round boundary that is not full, given the set
+        ``key`` its next spread cools, can reach ``t`` on the objective; key 0
+        is the empty boundary before the first round."""
+        if t <= 0:
+            return True
         if key == self.full:
             # the next round's spread finishes the process: one final round,
             # no further source
-            return 1 if self.objective == _ROUNDS else 0
-        if self.use_memo:
-            hit = self.memo.get(key)
-            if hit is not None:
-                self.memo_hits += 1
-                return hit[0]
+            return t <= (1 if self.objective == _ROUNDS else 0)
+        lo, hi, choice = self.memo.get(key, self.unknown)
+        if self.use_memo and not lo < t <= hi:
+            self.memo_hits += 1
+            return t <= lo
+        full = self.full
+        u = (full ^ key).bit_count()
+        counting = u // 2 if self.objective == _ROUNDS else (u - 1) // 2
+        if self.prune and t > counting + 1:
+            self.counting_cuts += 1
+            return False
         self.expanded += 1
         if self.deadline is not None and self.expanded % 64 == 1:
             if time.monotonic() > self.deadline:
                 raise TimeBudgetExceededError("search exceeded its time budget")
-        full = self.full
-        u = (full ^ key).bit_count()
-        counting = u // 2 if self.objective == _ROUNDS else (u - 1) // 2
         rem = full ^ key if key else self.first
-        value = choice = 0
         balls, masks = self.balls, self.masks
         nxt = self._spread(key)  # N[key | {s}] is nxt | N[s] for every child s
-        reach, r = 0, -1  # r stays -1 until pruning has a value to beat
+        # the child boundary key | low is within r hops of every node exactly
+        # when reach | balls[i][r] is full; at t = 1 every child succeeds
+        ecc = self.prune and t >= 2
+        r = min(t - 2 + self.slack, self.top)
+        reach = self._reach(key, r) if ecc else 0
         while rem:
             low = rem & -rem
             rem ^= low
             i = low.bit_length() - 1
-            if r >= 0 and (reach | balls[i][r]) == full:
+            if ecc and (reach | balls[i][r]) == full:
                 self.ecc_cuts += 1
                 continue
-            # a full boundary ends the run; its key would be full too, which
-            # best_from reads as a boundary one round short of the end
-            v = 1 if key | low == full else 1 + self.best_from(nxt | masks[i] | low)
-            if v > value:
-                value, choice = v, i
-                if self.prune:
-                    if value > counting:
-                        self.counting_cuts += 1
-                        break  # no sibling can strictly beat the bound
-                    # the child boundary key | low is within r hops of every
-                    # node exactly when reach | balls[i][r] is full
-                    r = value - 1 + self.slack
-                    reach = self._reach(key, r)
-        self.memo[key] = (value, choice)
-        return value
+            # a full boundary ends the run in this round, so it reaches t = 1
+            # only; its key would be full too, which at_least reads as a
+            # boundary one round short of the end
+            if t == 1 or key | low != full and self.at_least(nxt | masks[i] | low, t - 1):
+                self.memo[key] = (t, hi, i)
+                return True
+        self.memo[key] = (lo, t - 1, choice)
+        return False
 
     def solve(self, first: int) -> tuple[int, list[int]]:
         """Value and lowest-id witness over the first sources in the mask ``first``."""
         self.first = first
-        value, seq, key = self.best_from(0), [], 0
-        while key != self.full:  # walk the memoized choices from the empty boundary
-            choice = self.memo[key][1]
+        n, d = len(self.masks), self.top
+        # the paper's diameter and order caps bound every run, so they bound
+        # the best over any set of first sources too
+        if self.objective == _ROUNDS:
+            cap = min(d + 1, (n + 2) // 2)
+        else:
+            cap = max(1, min(d, (n + 1) // 2))
+        value = cap
+        while not self.at_least(0, value):
+            value -= 1
+        self.probes = cap - value + 1
+        seq, key, need = [], 0, value
+        while key != self.full:  # the lowest-id child that keeps the optimum
+            if self.memo.get(key, self.unknown)[0] != need:
+                self.at_least(key, need)  # lo < need <= hi here, so this expands
+            choice = self.memo[key][2]
             seq.append(choice)
             key = self._spread(key) | self.masks[choice] | 1 << choice
+            need -= 1
         return value, seq
 
 
@@ -268,7 +302,8 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
         raise AssertionError(f"witness replay gave {achieved}, search said {value}")
     return SearchResult(value, trace,
                         SearchStats(search.expanded, search.memo_hits, time.monotonic() - start,
-                                    len(roots), search.ecc_cuts, search.counting_cuts))
+                                    len(roots), search.ecc_cuts, search.counting_cuts,
+                                    search.probes))
 
 
 def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,

@@ -49,6 +49,43 @@ def exhaustive_b_cl(g: Graph) -> tuple[int, int, int]:
             1 + max(s for _, _, s in firsts))
 
 
+def first_optimal_sequence(g: Graph, sources: bool) -> tuple[int, list[int]]:
+    """The most rounds (or, with ``sources``, the most sources) over every
+    mandatory-source run of ``g``, and the lexicographically first source
+    sequence of a run that reaches it.
+
+    Written from the README's definition, independently of the solver: it
+    lists every run, a source sequence in which each round after the first
+    spreads once and then, unless every node is cooled, picks one uncooled
+    node, and compares the optimal ones as lists.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    closed = [1 << v | sum(1 << w for w in g.adj[v]) for v in range(n)]
+    runs: list[tuple[int, list[int]]] = []  # (round count, source sequence)
+
+    def play(cooled: int, rounds: int, seq: list[int]) -> None:
+        if cooled == full:
+            runs.append((rounds, seq))
+            return
+        spread = 0
+        for v in range(n):
+            if cooled >> v & 1:
+                spread |= closed[v]
+        if spread == full:
+            runs.append((rounds + 1, seq))  # a last round of spread, no source
+            return
+        for v in range(n):
+            if not spread >> v & 1:
+                play(spread | 1 << v, rounds + 1, seq + [v])
+
+    for v in range(n):
+        play(1 << v, 1, [v])
+    scored = [(len(seq) if sources else rounds, seq) for rounds, seq in runs]
+    best = max(score for score, _ in scored)
+    return best, min(seq for score, seq in scored if score == best)
+
+
 def within_by_scan(g: Graph, mask: int, r: int) -> bool:
     """Whether every node of ``g`` lies within ``r`` hops of the set ``mask``.
 
@@ -101,6 +138,12 @@ def loop_profile():
 def oracle():
     """The solver-free ``(b, CL, S)`` search, :func:`exhaustive_b_cl`."""
     return exhaustive_b_cl
+
+
+@pytest.fixture(scope="session")
+def first_optimal():
+    """The solver-free run enumeration, :func:`first_optimal_sequence`."""
+    return first_optimal_sequence
 
 
 @pytest.fixture(scope="session")

@@ -146,6 +146,20 @@ class TestSolverCommands:
         path.write_text('{"n": 0, "edges": []}')
         assert run_cli(*command.split(), "--in", str(path)) == (1, "", err + "\n")
 
+    @pytest.mark.parametrize("content, reason", [
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+        (b'{"n": 1, "edges": []}\xff', "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["deeply-nested", "not-utf-8"])
+    def test_unreadable_json_is_one_line_naming_the_file(self, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content)
+        code, out, err = run_cli("exact", "--in", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"{path}: not valid JSON ({reason}") and err.count("\n") == 1, err
+
     def test_duplicate_edge_warning_is_one_line(self, tmp_path):
         path = tmp_path / "dup.json"
         path.write_text('{"n": 3, "edges": [[0, 1], [1, 0], [1, 2]]}')

@@ -30,6 +30,15 @@ def all_roots(g, objective):
     return search.solve(search.full)
 
 
+def ladder_value(search, key):
+    """The objective from ``key``: the last ``t`` of ``at_least(key, 1)``,
+    ``at_least(key, 2)``, ... that holds."""
+    t = 0
+    while search.at_least(key, t + 1):
+        t += 1
+    return t
+
+
 def small_sample():
     rng = random.Random(31)
     graphs = [gen_path(6), gen_cycle(7), gen_spider(3, 2), gen_complete_caterpillar(4),
@@ -220,17 +229,17 @@ class TestPinnedWork:
 
     def test_grid5(self):
         stats = cooling_number(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (63, 352, 9)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (31, 226, 11)
 
     def test_cycle24(self):
         stats = cooling_number(gen_cycle(24), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (185, 746, 44)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (112, 918, 148)
 
     @pytest.mark.parametrize("solve, graph, pinned", [
-        (cooling_number, gen_grid(6), (8, 528, 1432, 4484, 20)),
-        (max_sequence_length, gen_grid(6), (8, 117, 187, 1317, 4)),
-        (cooling_number, gen_spider(4, 4), (7, 201, 606, 230, 98)),
-        (max_sequence_length, gen_cycle(18), (6, 55, 31, 188, 16)),
+        (cooling_number, gen_grid(6), (8, 207, 410, 2813, 21)),
+        (max_sequence_length, gen_grid(6), (8, 45, 37, 540, 0)),
+        (cooling_number, gen_spider(4, 4), (7, 95, 75, 148, 450)),
+        (max_sequence_length, gen_cycle(18), (6, 53, 29, 292, 0)),
     ], ids=["grid6", "seqlen-grid6", "spider-4x4", "seqlen-cycle18"])
     def test_search_workload_instances(self, solve, graph, pinned):
         res = solve(graph, SearchLimits(max_nodes=36))
@@ -238,24 +247,32 @@ class TestPinnedWork:
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
 
     def test_global_cap_stops_the_root_loop(self):
-        # the first root reaches the counting bound 9 // 2 + 1 = 5 of the
-        # empty boundary, which ends the first round; the eccentricity test
-        # alone would still search node 1, whose eccentricity is 7
+        # the first probe is the order cap 9 // 2 + 1 = 5, below the diameter
+        # cap 9, and the first root reaches it, so no second probe is made
         res = cooling_number(gen_path(9))
         assert (res.value, res.stats.expanded, res.stats.memo_hits) == (5, 5, 0)
+        assert res.stats.probes == 1
 
     def test_expanded_without_lookups(self):
         # with lookups off a state can be expanded more than once
-        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 24
+        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 16
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (25, 211, 3)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (20, 181, 0)
+
+    def test_seqlen_spider_4x4(self):
+        # the source count's counting cut fails calls here; one looser on
+        # even u, (u - 1) // 2 read as u // 2, would double the work
+        res = max_sequence_length(gen_spider(4, 4), self.LIMITS)
+        s = res.stats
+        assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == (
+            7, 49, 9, 132, 186)
 
     def test_seqlen_search_pool_graph_10(self):
         # 85,883 states when the source count was capped by counting alone
         res = max_sequence_length(search_pool_graph(10), SearchLimits(max_nodes=40))
-        assert (res.value, res.stats.expanded) == (6, 11)
+        assert (res.value, res.stats.expanded) == (6, 6)
 
     def test_path40_jobs2_searches_serially(self):
         # 670,224 states when jobs=2 split the roots over two pooled workers
@@ -315,8 +332,8 @@ def test_child_test_by_ball_union_matches_scan(corpus, within_scan):
     """The search's per-child test, ``reach(K, r) | ball(s, r) == full``,
     says the same as scanning every node of the child boundary ``K | {s}``,
     for every post-spread set ``K``, every source ``s`` outside it and every
-    radius up to the diameter (the search uses ``value - 1`` for rounds and
-    ``value`` for sources)."""
+    radius up to the diameter (a call at threshold ``t`` uses ``t - 2`` for
+    rounds and ``t - 1`` for sources)."""
     rng = random.Random(29)
     graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
     for g in graphs:
@@ -341,9 +358,10 @@ class TestPostSpreadKey:
         search = solver._MaxSearch(gen_path(5), solver._ROUNDS, True, True, None)
         key = search._spread(0b00010)
         assert search._spread(0b00011) == key == 0b00111
-        value = search.best_from(key)
+        assert search.at_least(key, 2)
         expanded, entries = search.expanded, len(search.memo)
-        assert search.best_from(search._spread(0b00011)) == value
+        assert (expanded, entries) == (1, 1)
+        assert search.at_least(search._spread(0b00011), 2)
         assert (search.expanded, len(search.memo), search.memo_hits) == (expanded, entries, 1)
 
     def test_spider_5x5_pinned(self):
@@ -354,6 +372,43 @@ class TestPostSpreadKey:
         assert (res.value, list(res.witness.sources)) == (10, [5, 9, 15, 13, 11, 16, 18, 20, 24])
         res = max_sequence_length(g, limits)
         assert (res.value, list(res.witness.sources)) == (9, [4, 8, 10, 11, 13, 15, 18, 20, 25])
+
+
+class TestThresholdSearch:
+    """``at_least(K, t)`` decides whether the run from key ``K`` reaches ``t``;
+    the root is probed down from the order and diameter caps."""
+
+    def test_probe_at_one_keeps_a_full_boundary(self):
+        # on P_3 the key {0, 1} leaves node 2 alone, and the child boundary
+        # with source 2 is full: one source and one round, though the child
+        # lies within 0 hops of every node, so no eccentricity test runs at t = 1
+        for objective in (solver._ROUNDS, solver._SOURCES):
+            search = solver._MaxSearch(gen_path(3), objective, True, True, None)
+            assert search.at_least(0b011, 1)
+            assert not search.at_least(0b011, 2)  # by counting, with no memo write
+            lo, _, choice = search.memo[0b011]
+            assert (lo, choice) == (1, 2)
+        res = max_sequence_length(gen_path(1))
+        assert (res.value, res.witness.sources) == (1, (0,))
+
+    def test_witness_is_the_first_optimal_sequence(self, corpus, first_optimal):
+        """At every state the walk takes the lowest-id child that keeps the
+        optimum, so the witness is the lexicographically first optimal
+        source sequence of all runs."""
+        for name, g in corpus:
+            for sources, solve in ((False, cooling_number), (True, max_sequence_length)):
+                res = solve(g)
+                assert (res.value, list(res.witness.sources)) == first_optimal(g, sources), name
+
+    def test_a_failure_keeps_the_choice(self):
+        # a later failure above lo narrows hi and leaves the choice that
+        # witnesses lo, which the walk reads
+        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, False, True, None)
+        key = search._spread(0b00001)
+        assert search.at_least(key, 2)
+        lo, _, choice = search.memo[key]
+        assert not search.at_least(key, 4)
+        assert search.memo[key] == (lo, 3, choice)
 
 
 class TestMaxSequenceLength:
@@ -533,15 +588,17 @@ class TestFirstRound:
     def test_counting_bound_is_sound_and_tight(self, corpus):
         """From a state with ``u`` nodes outside its key at most ``u // 2 + 1``
         rounds and ``(u - 1) // 2 + 1`` sources remain, and every memo state
-        of the unpruned search obeys both; each bound is met for every ``u``
-        up to 10, so a cut one lower would lose answers."""
+        of the unpruned search obeys both, each state's value taken from an
+        unpruned threshold ladder; each bound is met for every ``u`` up to 10,
+        so a cut one lower would lose answers."""
         for objective, bound in ((solver._ROUNDS, lambda u: u // 2 + 1),
                                  (solver._SOURCES, lambda u: (u - 1) // 2 + 1)):
             met = set()
             for name, g in corpus:
                 search = solver._MaxSearch(g, objective, False, True, None)
                 search.solve(search.full)
-                for key, (value, _) in search.memo.items():
+                for key in list(search.memo):
+                    value = ladder_value(search, key)
                     u = g.n - key.bit_count()
                     assert value <= bound(u), (name, objective, key)
                     if value == bound(u):
@@ -556,9 +613,11 @@ class TestBoundsDuringSearch:
             d = diameter(g)
             assert (d + 3) // 2 <= cl <= min(d + 1, (g.n + 2) // 2)
 
-    def test_global_caps_hold_and_are_met(self, corpus):
-        """The diameter and order caps on a whole run, which the search meets
-        as the eccentricity and counting cuts of the empty boundary."""
+    def test_global_caps_hold_and_are_met(self, corpus, first_optimal):
+        """The diameter and order caps on a whole run, which the search takes
+        as its first probe and then counts down from. The search cannot
+        exceed its first probe, so the caps are checked on the solver-free
+        run enumeration."""
         def global_cap(g, solve):
             n, d = g.n, diameter(g)
             if solve is cooling_number:
@@ -567,8 +626,11 @@ class TestBoundsDuringSearch:
 
         for name, g in corpus:
             if g.n > 1:
-                for solve in (cooling_number, max_sequence_length):
-                    assert solve(g).value <= global_cap(g, solve), name
+                for sources, solve in ((False, cooling_number), (True, max_sequence_length)):
+                    cap = global_cap(g, solve)
+                    assert first_optimal(g, sources)[0] <= cap, name
+                    res = solve(g)
+                    assert res.stats.probes == cap - res.value + 1, name
         # on these sparse graphs a run reaches d + 1 rounds with d sources
         for i in (2, 11, 13):
             g = search_pool_graph(i)

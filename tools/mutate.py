@@ -1,9 +1,10 @@
 """Mutation gate for the searches' memo key, pruning rules and reductions.
 
 Each mutant replaces one exact snippet of one module under ``src/coolnum``
-(a single token or operand where possible): the cooling search's key and
-pruning rules and the burning search's radius order in ``solver.py``, the
-orbit reduction in ``graphs.py``. It does so in a throwaway copy of the
+(a single token or operand where possible): the cooling search's key,
+pruning rules, memo bounds, first probe and witness walk and the burning
+search's radius order in ``solver.py``, the orbit reduction in
+``graphs.py``. It does so in a throwaway copy of the
 repo, then runs ``tests/test_graphs.py``, ``tests/test_solver.py``,
 ``tests/test_properties.py`` and ``tests/test_acceptance.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
@@ -49,36 +50,49 @@ class Mutant:
 MUTANTS = [
     # the post-spread key: closed neighbourhoods, and a full boundary decided
     # before its key is formed
-    Mutant("child-key-open", "best_from(nxt | masks[i] | low)", "best_from(nxt | masks[i])"),
+    Mutant("child-key-open", "at_least(nxt | masks[i] | low, t - 1)",
+           "at_least(nxt | masks[i], t - 1)"),
     Mutant("walk-key-open", "self.masks[choice] | 1 << choice", "self.masks[choice]"),
-    Mutant("child-full-boundary", "v = 1 if key | low == full else", "v = 1 if False else"),
-    Mutant("full-key-value", "return 1 if self.objective == _ROUNDS else 0",
-           "return 0 if self.objective == _ROUNDS else 0"),
+    Mutant("child-full-boundary", "key | low != full and self.at_least", "self.at_least"),
+    Mutant("child-full-boundary-t1", "if t == 1 or key | low", "if key | low"),
+    Mutant("full-key-value", "return t <= (1 if self.objective == _ROUNDS else 0)",
+           "return t <= (0 if self.objective == _ROUNDS else 0)"),
     # the first round: the empty boundary branches on the listed first
     # sources, and counts every node as uncooled
     Mutant("root-mask-ignored", "rem = full ^ key if key else self.first", "rem = full ^ key"),
     Mutant("root-count-mask", "u = (full ^ key).bit_count()",
            "u = (full ^ key if key else self.first).bit_count()"),
+    # the first probe: the order and diameter caps, one lower skips the
+    # optimum wherever a cap is met
+    Mutant("probe-below-cap", "value = cap\n", "value = cap - 1\n"),
     # counting bound
     Mutant("counting-rounds", "counting = u // 2 if", "counting = (u - 1) // 2 if"),
     Mutant("counting-rounds-loose", "counting = u // 2 if", "counting = (u + 1) // 2 if"),
     Mutant("counting-sources", "else (u - 1) // 2", "else u // 2 - 1"),
     Mutant("counting-sources-loose", "else (u - 1) // 2", "else u // 2"),
-    Mutant("counting-compare", "if value > counting:", "if value >= counting:"),
-    # eccentricity bound, and the no-value sentinel it waits for: the empty
-    # boundary's reach is 0, so reach cannot tell whether a value exists
-    Mutant("ecc-no-value-reach", "if r >= 0 and", "if reach and"),
-    Mutant("ecc-no-value-zero", "reach, r = 0, -1", "reach, r = 0, 0"),
+    Mutant("counting-threshold", "t > counting + 1", "t >= counting + 1"),
+    # eccentricity bound: one radius per call, tested from t = 2 on
     Mutant("ecc-r-1", "self._reach(key, r)", "self._reach(key, r - 1)"),
     Mutant("ecc-r+1", "self._reach(key, r)", "self._reach(key, r + 1)"),
-    Mutant("ecc-radius-low", "r = value - 1 + self.slack", "r = value - 2 + self.slack"),
-    Mutant("ecc-radius-high", "r = value - 1 + self.slack", "r = value + self.slack"),
+    Mutant("ecc-radius-low", "r = min(t - 2 + self.slack", "r = min(t - 3 + self.slack"),
+    Mutant("ecc-radius-high", "r = min(t - 2 + self.slack", "r = min(t - 1 + self.slack"),
+    Mutant("ecc-from-t1", "self.prune and t >= 2", "self.prune and t >= 1"),
     Mutant("ecc-slack-sources", "self.slack = 0 if objective == _ROUNDS else 1",
            "self.slack = 0 if objective == _ROUNDS else 0"),
     Mutant("ecc-slack-rounds", "self.slack = 0 if objective == _ROUNDS else 1",
            "self.slack = 1 if objective == _ROUNDS else 1"),
-    # ties and the time budget
-    Mutant("child-tie", "if v > value:", "if v >= value:"),
+    # the memo's bounds and the choice that witnesses lo
+    Mutant("memo-success-swapped", "self.memo[key] = (t, hi, i)", "self.memo[key] = (hi, t, i)"),
+    Mutant("memo-failure-swapped", "self.memo[key] = (lo, t - 1, choice)",
+           "self.memo[key] = (t - 1, lo, choice)"),
+    Mutant("memo-failure-drops-choice", "self.memo[key] = (lo, t - 1, choice)",
+           "self.memo[key] = (lo, t - 1, -1)"),
+    # the witness walk
+    Mutant("walk-need-kept", "need -= 1", "need -= 0"),
+    Mutant("walk-lo-at-least-need", "[0] != need:", "[0] < need:",
+           equivalent="on the walk the need is the state's exact value and lo a proven "
+                      "lower bound, so lo never exceeds the need"),
+    # the time budget
     Mutant("deadline-first-state", "self.expanded % 64 == 1", "self.expanded % 64 == 0"),
     Mutant("burn-deadline-first-state", "expanded % 1024 == 1", "expanded % 1024 == 0"),
     # the burning search's radius order: the largest ball first, and the

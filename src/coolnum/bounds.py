@@ -247,7 +247,7 @@ class BoundsReport:
         }
 
 
-def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP) -> BoundsReport:
+def bounds_report(g: Graph) -> BoundsReport:
     """Assemble all computable bounds, listing the ones skipped for size.
 
     The burning search takes the solver's node cap (``COOLNUM_MAX_NODES`` or
@@ -263,8 +263,8 @@ def bounds_report(g: Graph, *, iso_cap: int = DEFAULT_PROFILE_CAP) -> BoundsRepo
     skipped: list[str] = []
     iso_value = None
     iso_traj = None
-    if g.n <= iso_cap:
-        bound = iso_upper_bound(iso_profile_exact(g, cap=iso_cap))
+    if g.n <= DEFAULT_PROFILE_CAP:
+        bound = iso_upper_bound(iso_profile_exact(g))
         iso_value, iso_traj = bound.value, bound.trajectory
     else:
         skipped.append("iso_upper")

@@ -97,13 +97,11 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-# solver command -> (its function in coolnum.solver, whether it takes the
-# search flags --jobs, --no-prune and --no-memo); --jobs is parsed and
-# ignored, the search is serial
+# solver command -> its function in coolnum.solver
 SOLVERS = {
-    "exact": ("cooling_number", True),
-    "seqlen": ("max_sequence_length", True),
-    "burn": ("burning_number", False),
+    "exact": "cooling_number",
+    "seqlen": "max_sequence_length",
+    "burn": "burning_number",
 }
 
 
@@ -112,10 +110,8 @@ def cmd_solve(args) -> int:
     from .engine import write_trace
     from .graph_io import read_graph
 
-    name, searches = SOLVERS[args.command]
-    search = {"prune": not args.no_prune, "use_memo": not args.no_memo} if searches else {}
-    result = getattr(solver, name)(read_graph(args.graph_in),
-                                   solver.SearchLimits(args.max_nodes, args.time_budget), **search)
+    result = getattr(solver, SOLVERS[args.command])(
+        read_graph(args.graph_in), solver.SearchLimits(args.max_nodes, args.time_budget))
     if args.trace_out:
         write_trace(result.witness, args.trace_out)
     _emit({"command": args.command, "value": result.value,
@@ -222,16 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_gen)
 
-    for name, (_, searches) in SOLVERS.items():
+    for name in SOLVERS:
         p = sub.add_parser(name, help=f"compute {name} value for a graph file")
         p.add_argument("--in", dest="graph_in", required=True)
         p.add_argument("--trace-out", help="write the witness trace JSON here")
         p.add_argument("--max-nodes", type=int, default=None)
         p.add_argument("--time-budget", type=float, default=None)
-        if searches:
-            p.add_argument("--jobs", type=int, default=1)
-            p.add_argument("--no-prune", action="store_true")
-            p.add_argument("--no-memo", action="store_true")
         p.add_argument("--json", action="store_true")
         p.set_defaults(func=cmd_solve)
 

@@ -52,7 +52,6 @@ class CoolingTrace:
     """Complete round-by-round record of one run; the auditable witness."""
 
     rounds: tuple[RoundRecord, ...]
-    final_cooled: frozenset[int]
 
     @property
     def num_rounds(self) -> int:
@@ -103,7 +102,8 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
                 while lowest in cooled:
                     lowest += 1
                 source = lowest
-            if not isinstance(source, int) or not (0 <= source < g.n):
+            # a bool or a float is no node id, even where it equals one
+            if type(source) is not int or not (0 <= source < g.n):
                 raise InvalidSourceError(source, t, f"policy returned invalid node {source!r}")
             if source in cooled:
                 raise InvalidSourceError(source, t, f"node {source} is already cooled")
@@ -113,7 +113,7 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
                 if w not in cooled:
                     border.add(w)
         records.append(RoundRecord(t, spread, source))
-    return CoolingTrace(tuple(records), frozenset(cooled))
+    return CoolingTrace(tuple(records))
 
 
 run_burning = run_cooling
@@ -130,6 +130,8 @@ class _SequencePolicy:
         if self.idx < len(self.seq):
             v = self.seq[self.idx]
             self.idx += 1
+            if type(v) is not int:
+                raise InvalidSourceError(v, t, f"sequence element {v!r} is not a node id")
             if not (0 <= v < g.n):
                 raise InvalidSourceError(v, t, f"sequence element {v} outside 0..{g.n - 1}")
             if v in cooled:
@@ -182,15 +184,8 @@ def trace_to_json_obj(trace: CoolingTrace) -> dict:
 def trace_from_json_obj(obj: dict) -> CoolingTrace:
     if not isinstance(obj, dict) or "rounds" not in obj:
         raise ValueError('trace JSON must be an object with a "rounds" list')
-    records = []
-    cooled: set[int] = set()
-    for entry in obj["rounds"]:
-        spread = frozenset(entry["spread"])
-        records.append(RoundRecord(entry["round"], spread, entry["source"]))
-        cooled |= spread
-        if entry["source"] is not None:
-            cooled.add(entry["source"])
-    return CoolingTrace(tuple(records), frozenset(cooled))
+    return CoolingTrace(tuple(RoundRecord(e["round"], frozenset(e["spread"]), e["source"])
+                              for e in obj["rounds"]))
 
 
 def write_trace(trace: CoolingTrace, path: str | Path) -> None:

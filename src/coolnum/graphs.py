@@ -56,9 +56,6 @@ class Graph:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 

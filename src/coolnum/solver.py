@@ -20,6 +20,7 @@ the same value.
 The root is probed down from the paper's caps on a whole run,
 ``min(diameter + 1, floor(n/2) + 1)`` rounds and ``min(diameter,
 ceil(n/2))`` sources, until a probe holds; that probe is the value. The
+unpruned search, the reference, probes down from ``n`` instead. The
 witness walks from key ``0`` with the value as its need: at each state it
 takes the memo's choice when ``lo`` equals the need, and otherwise expands
 the state once at the need, then lowers the need by one. Along the walk
@@ -48,8 +49,8 @@ balls (:attr:`Graph.balls`) of radius ``r`` around the members of ``K``
 into one union, and a child is skipped when that union ORed with the
 radius-``r`` ball of ``s`` is every node. At ``t = 1`` every child
 succeeds, a full boundary too, so the test starts at ``t = 2``. Every
-bound is cross-checked against unpruned search in the test suite, and the
-caps against a solver-free enumeration of every run.
+bound and both caps are cross-checked against unpruned search in the test
+suite, and the caps also against a solver-free enumeration of every run.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -126,8 +127,7 @@ _SOURCES = 1
 class _MaxSearch:
     """Shared threshold search for the most rounds or the most sources."""
 
-    def __init__(self, g: Graph, objective: int, prune: bool, use_memo: bool,
-                 deadline: float | None):
+    def __init__(self, g: Graph, objective: int, prune: bool, deadline: float | None):
         self.masks = g.neighbor_masks
         self.balls = g.balls
         self.full = (1 << g.n) - 1
@@ -138,11 +138,9 @@ class _MaxSearch:
         # more: at most ecc rounds, or ecc - 1 sources, remain from it
         self.slack = 0 if objective == _ROUNDS else 1
         self.prune = prune
-        self.use_memo = use_memo
         self.deadline = deadline
         # per post-spread set: the objective is at least lo and at most hi,
-        # and choice is the lowest-id child that reaches lo; always written,
-        # so the witness walk reads it even with lookups disabled
+        # and choice is the lowest-id child that reaches lo
         self.memo: dict[int, tuple[int, int, int]] = {}
         self.unknown = (0, g.n, -1)
         self.probes = 0
@@ -184,7 +182,7 @@ class _MaxSearch:
             # no further source
             return t <= (1 if self.objective == _ROUNDS else 0)
         lo, hi, choice = self.memo.get(key, self.unknown)
-        if self.use_memo and not lo < t <= hi:
+        if not lo < t <= hi:
             self.memo_hits += 1
             return t <= lo
         full = self.full
@@ -226,15 +224,18 @@ class _MaxSearch:
         self.first = first
         n, d = len(self.masks), self.top
         # the paper's diameter and order caps bound every run, so they bound
-        # the best over any set of first sources too
-        if self.objective == _ROUNDS:
-            cap = min(d + 1, (n + 2) // 2)
+        # the best over any set of first sources too; the unpruned reference
+        # probes from n instead, so that it tests the caps
+        if not self.prune:
+            start = n
+        elif self.objective == _ROUNDS:
+            start = min(d + 1, (n + 2) // 2)
         else:
-            cap = max(1, min(d, (n + 1) // 2))
-        value = cap
+            start = max(1, min(d, (n + 1) // 2))
+        value = start
         while not self.at_least(0, value):
             value -= 1
-        self.probes = cap - value + 1
+        self.probes = start - value + 1
         seq, key, need = [], 0, value
         while key != self.full:  # the lowest-id child that keeps the optimum
             if self.memo.get(key, self.unknown)[0] != need:
@@ -272,7 +273,7 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchL
 
 
 def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: bool,
-               use_memo: bool, first_sources: list[int] | None) -> SearchResult:
+               first_sources: list[int] | None) -> SearchResult:
     limits = _prepare(g, limits, DEFAULT_COOLING_MAX_NODES)
     start = time.monotonic()
     deadline = start + limits.time_budget if limits.time_budget is not None else None
@@ -293,7 +294,7 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
     for s in listed:
         kept.setdefault(g.orbits[s], s)
     roots = list(kept.values())
-    search = _MaxSearch(g, objective, prune, use_memo, deadline)
+    search = _MaxSearch(g, objective, prune, deadline)
     value, seq = search.solve(sum(1 << s for s in roots))
 
     trace = validate_sequence(g, seq)
@@ -307,27 +308,28 @@ def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: boo
 
 
 def cooling_number(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,
-                   use_memo: bool = True, first_sources: list[int] | None = None,
-                   jobs: int = 1) -> SearchResult:
+                   first_sources: list[int] | None = None, jobs: int = 1) -> SearchResult:
     """Exact cooling number: the maximum round count over all source choices.
 
     The search runs one first source per automorphism orbit
     (:attr:`Graph.orbits`), so callers need not cover orbits themselves.
     ``first_sources`` is an optional restriction of the first-round
     branching: the answer is then the best over those first sources only.
-    ``jobs`` is accepted for compatibility and ignored: the search is serial.
+    ``prune=False`` is the reference search: no cut, and the root probed
+    down from ``n`` rather than from the paper's caps.
+    ``jobs`` is ignored, as the search is serial; it goes once the benchmark's
+    ``search`` workload stops passing ``jobs=2`` (ROADMAP item 1).
     """
-    return _max_solve(g, limits, _ROUNDS, prune, use_memo, first_sources)
+    return _max_solve(g, limits, _ROUNDS, prune, first_sources)
 
 
 def max_sequence_length(g: Graph, limits: SearchLimits | None = None, *, prune: bool = True,
-                        use_memo: bool = True, first_sources: list[int] | None = None,
-                        jobs: int = 1) -> SearchResult:
+                        first_sources: list[int] | None = None, jobs: int = 1) -> SearchResult:
     """Exact maximum number of sources selectable in one run (same search,
-    objective = source count, same ``first_sources`` as :func:`cooling_number`,
-    ``jobs`` likewise ignored). The round count of a run always lies within
-    {sources, sources+1}."""
-    return _max_solve(g, limits, _SOURCES, prune, use_memo, first_sources)
+    objective = source count, same ``prune``, ``first_sources`` and ignored
+    ``jobs`` as :func:`cooling_number`). The round count of a run always
+    lies within {sources, sources+1}."""
+    return _max_solve(g, limits, _SOURCES, prune, first_sources)
 
 
 def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult:

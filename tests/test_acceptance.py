@@ -188,4 +188,4 @@ def test_acceptance_11_reference_runs():
 
 def test_acceptance_12_cli_determinism():
     run_suite("determinism")
-    report("12 determinism", "cmd_exact with --jobs 2 is byte-identical across runs")
+    report("12 determinism", "cmd_exact is byte-identical across runs")

@@ -192,25 +192,29 @@ class TestSolverCommands:
         code, out, err = run_cli("seqlen", "--in", str(c8))
         assert (code, out, err) == (1, "", want)
 
-    def test_burn_takes_no_search_flags(self, tmp_path):
+    @pytest.mark.parametrize("cmd", list(cli.SOLVERS))
+    def test_solvers_take_no_search_flags(self, tmp_path, cmd):
         path = tmp_path / "p9.json"
         write_graph(gen_path(9), path)
         for flag in (["--jobs", "2"], ["--no-prune"], ["--no-memo"]):
-            code, out, err = run_cli("burn", "--in", str(path), *flag)
+            code, out, err = run_cli(cmd, "--in", str(path), *flag)
             assert code == 1 and out == ""
-            assert "unrecognized arguments" in err
-            # the subcommand's own usage, which lists the flags burn takes
-            assert err.startswith("usage: coolnum burn ") and "--max-nodes" in err
-            assert "coolnum burn: error: unrecognized arguments: " + " ".join(flag) in err
+            # the subcommand's own usage, which lists the flags it takes
+            assert err.startswith(f"usage: coolnum {cmd} ") and "--max-nodes" in err
+            assert err.endswith(f"coolnum {cmd}: error: unrecognized arguments: "
+                                + " ".join(flag) + "\n")
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_time_budget_expiry_exit_six(self, tmp_path, jobs):
+    # runs: how often the expiring search is started in one process; a
+    # second run checks that an expiry leaves no state behind.
+    @pytest.mark.parametrize("runs", [1, 2])
+    def test_time_budget_expiry_exit_six(self, tmp_path, runs):
         path = tmp_path / "g5.json"
         write_graph(gen_grid(5), path)
-        code, out, err = run_cli("exact", "--in", str(path), "--max-nodes", "25",
-                                 "--time-budget", "0", "--jobs", jobs)
-        assert code == 6 and out == ""
-        assert err == "search exceeded its time budget\n"
+        for _ in range(runs):
+            code, out, err = run_cli("exact", "--in", str(path), "--max-nodes", "25",
+                                     "--time-budget", "0")
+            assert code == 6 and out == ""
+            assert err == "search exceeded its time budget\n"
 
     @pytest.mark.parametrize("budget", ["nan", "-1"])
     def test_nan_or_negative_time_budget_exit_one(self, c8, budget):
@@ -233,8 +237,9 @@ class TestUsage:
 class TestPinnedOutput:
     """Exact stdout, stderr and exit code of every ``--help`` and of the error
     exits raised inside the command layers, recorded from the CLI before
-    those layers were imported lazily. ``{p21}`` and ``{p5}`` stand for files
-    of the paths on 21 and 5 nodes."""
+    those layers were imported lazily, and of the search flags the solver
+    commands no longer take. ``{p21}`` and ``{p5}`` stand for files of the
+    paths on 21 and 5 nodes."""
 
     PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
@@ -390,7 +395,7 @@ class TestVerifyCommand:
             "certified form contains the exact value [6/6]",
         ],
         "reference-traces": ["caterpillar reference run [2/2]", "ilt path reference run [2/2]"],
-        "determinism": ["exact twice with --jobs 2 [2/2]"],
+        "determinism": ["exact twice [2/2]"],
     }
 
     @pytest.mark.parametrize("suite", list(verify.SUITES))
@@ -401,16 +406,15 @@ class TestVerifyCommand:
 
 
 class TestDeterminism:
-    def test_exact_byte_identical_across_runs_and_jobs(self, tmp_path):
+    def test_exact_byte_identical_across_runs(self, tmp_path):
         path = tmp_path / "cc6.json"
         from coolnum.generators import gen_complete_caterpillar
 
         write_graph(gen_complete_caterpillar(6), path)
         outputs = []
-        for jobs in ("1", "2", "2"):
-            t = tmp_path / f"t{len(outputs)}.json"
-            code, out, _ = run_cli("exact", "--in", str(path), "--jobs", jobs,
-                                   "--trace-out", str(t), "--json")
+        for run in range(3):
+            t = tmp_path / f"t{run}.json"
+            code, out, _ = run_cli("exact", "--in", str(path), "--trace-out", str(t), "--json")
             assert code == 0
             outputs.append((out, t.read_bytes()))
         assert outputs[0] == outputs[1] == outputs[2]

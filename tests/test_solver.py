@@ -26,7 +26,7 @@ def complete_graph(n):
 
 def all_roots(g, objective):
     """``(value, sources)`` of the search from every first source, no orbit reduction."""
-    search = solver._MaxSearch(g, objective, True, True, None)
+    search = solver._MaxSearch(g, objective, True, None)
     return search.solve(search.full)
 
 
@@ -65,16 +65,10 @@ class TestCoolingNumber:
             assert replay.num_rounds == res.value
             assert replay == res.witness
 
-    def test_no_memo_matches(self):
-        for g in small_sample():
-            if g.n <= 9:
-                a = cooling_number(g).value
-                b = cooling_number(g, use_memo=False, limits=SearchLimits(max_nodes=10)).value
-                assert a == b
-
     def test_no_prune_matches(self, corpus):
         # both objectives: the source count has its own bounds (ecc - 1 per
-        # child and per first source, the diameter overall)
+        # child and per first source, the diameter overall); the unpruned
+        # search probes down from n, so this checks the caps too
         graphs = small_sample() + [g for _, g in corpus]
         for g in graphs:
             if g.n <= 10:
@@ -253,9 +247,11 @@ class TestPinnedWork:
         assert (res.value, res.stats.expanded, res.stats.memo_hits) == (5, 5, 0)
         assert res.stats.probes == 1
 
-    def test_expanded_without_lookups(self):
-        # with lookups off a state can be expanded more than once
-        assert cooling_number(gen_grid(4), use_memo=False).stats.expanded == 16
+    def test_reference_probes_down_from_n(self):
+        # the unpruned reference does not assume the caps: on P_9 it probes
+        # 9, 8, 7, 6 and 5, where the pruned search starts at the order cap 5
+        res = cooling_number(gen_path(9), prune=False)
+        assert (res.value, res.stats.probes) == (5, 5)
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
@@ -319,7 +315,7 @@ def test_within_matches_bfs_eccentricity(corpus, within_scan):
     rng = random.Random(23)
     graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
     for g in graphs:
-        search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
+        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
         for _ in range(20):
             mask = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
             ecc = ecc_by_bfs(g, mask)
@@ -337,7 +333,7 @@ def test_child_test_by_ball_union_matches_scan(corpus, within_scan):
     rng = random.Random(29)
     graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
     for g in graphs:
-        search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
+        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
         for _ in range(5):
             boundary = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n // 2 + 1)))
             key = search._spread(boundary)
@@ -355,7 +351,7 @@ class TestPostSpreadKey:
 
     def test_boundaries_with_one_closed_neighbourhood_share_an_entry(self):
         # on P_5, the boundaries {1} and {0, 1} both spread to {0, 1, 2}
-        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, True, True, None)
+        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, True, None)
         key = search._spread(0b00010)
         assert search._spread(0b00011) == key == 0b00111
         assert search.at_least(key, 2)
@@ -383,7 +379,7 @@ class TestThresholdSearch:
         # with source 2 is full: one source and one round, though the child
         # lies within 0 hops of every node, so no eccentricity test runs at t = 1
         for objective in (solver._ROUNDS, solver._SOURCES):
-            search = solver._MaxSearch(gen_path(3), objective, True, True, None)
+            search = solver._MaxSearch(gen_path(3), objective, True, None)
             assert search.at_least(0b011, 1)
             assert not search.at_least(0b011, 2)  # by counting, with no memo write
             lo, _, choice = search.memo[0b011]
@@ -403,7 +399,7 @@ class TestThresholdSearch:
     def test_a_failure_keeps_the_choice(self):
         # a later failure above lo narrows hi and leaves the choice that
         # witnesses lo, which the walk reads
-        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, False, True, None)
+        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, False, None)
         key = search._spread(0b00001)
         assert search.at_least(key, 2)
         lo, _, choice = search.memo[key]
@@ -562,7 +558,7 @@ class TestOrbitReduction:
     def test_fewer_states_than_all_roots(self):
         g = gen_cycle(16)
         # CL = 6 stays below min(d + 1, n // 2 + 1) = 9, so no cut ends the first round early
-        search = solver._MaxSearch(g, solver._ROUNDS, True, True, None)
+        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
         search.solve(search.full)
         assert cooling_number(g).stats.expanded < search.expanded
 
@@ -595,7 +591,7 @@ class TestFirstRound:
                                  (solver._SOURCES, lambda u: (u - 1) // 2 + 1)):
             met = set()
             for name, g in corpus:
-                search = solver._MaxSearch(g, objective, False, True, None)
+                search = solver._MaxSearch(g, objective, False, None)
                 search.solve(search.full)
                 for key in list(search.memo):
                     value = ladder_value(search, key)
@@ -615,9 +611,10 @@ class TestBoundsDuringSearch:
 
     def test_global_caps_hold_and_are_met(self, corpus, first_optimal):
         """The diameter and order caps on a whole run, which the search takes
-        as its first probe and then counts down from. The search cannot
-        exceed its first probe, so the caps are checked on the solver-free
-        run enumeration."""
+        as its first probe and then counts down from. The pruned search
+        cannot exceed its first probe, so the caps are checked on the
+        solver-free run enumeration (and against the unpruned search, which
+        probes from n, in ``test_no_prune_matches``)."""
         def global_cap(g, solve):
             n, d = g.n, diameter(g)
             if solve is cooling_number:

@@ -63,8 +63,10 @@ MUTANTS = [
     Mutant("root-count-mask", "u = (full ^ key).bit_count()",
            "u = (full ^ key if key else self.first).bit_count()"),
     # the first probe: the order and diameter caps, one lower skips the
-    # optimum wherever a cap is met
-    Mutant("probe-below-cap", "value = cap\n", "value = cap - 1\n"),
+    # optimum wherever a cap is met; the unpruned reference starts at n, so
+    # that it tests the caps instead of assuming them
+    Mutant("probe-below-cap", "value = start\n", "value = start - 1\n"),
+    Mutant("reference-keeps-caps", "if not self.prune:\n", "if False:\n"),
     # counting bound
     Mutant("counting-rounds", "counting = u // 2 if", "counting = (u - 1) // 2 if"),
     Mutant("counting-rounds-loose", "counting = u // 2 if", "counting = (u + 1) // 2 if"),

@@ -10,7 +10,7 @@ from any round boundary, one spread plus one mandatory source cools at least
 :func:`iso_profile_exact` computes ``phi`` over all ``2^n`` subsets at once:
 each subset is one bit of a ``2^n``-bit integer, so every step is one
 big-integer operation run in C. That is ``O(m + n log n)`` such operations,
-about 0.8 ms at the default cap of 16 nodes and 20-45 ms at 20 nodes
+about 0.8 ms at its cap of 16 nodes and 20-45 ms at 20 nodes
 (Python 3.11 on a 2-core Xeon). The ``2^n``-bit subset planes depend only
 on ``n`` and are cached per ``n``: about 0.26 MB at 16 nodes.
 """
@@ -98,7 +98,7 @@ def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(member), tuple(by_size)
 
 
-def iso_profile_exact(g: Graph, cap: int = DEFAULT_PROFILE_CAP) -> IsoProfile:
+def iso_profile_exact(g: Graph) -> IsoProfile:
     """Exact profile over all ``2^n`` subsets at once, bit-sliced.
 
     Each subset is one bit position of a ``2^n``-bit integer. One OR per
@@ -108,12 +108,12 @@ def iso_profile_exact(g: Graph, cap: int = DEFAULT_PROFILE_CAP) -> IsoProfile:
     over the subsets of size ``k``, read bit by bit from the top: keep the
     candidates with a 0 at bit ``j`` if there are any. That is
     ``O(m + n log n)`` operations on ``2^n``-bit integers. Refuses graphs
-    above ``cap`` nodes.
+    above ``DEFAULT_PROFILE_CAP`` nodes.
     """
     n = g.n
-    if n > cap:
+    if n > DEFAULT_PROFILE_CAP:
         raise ProfileSizeError(
-            f"exact profile enumerates 2^{n} subsets; cap is {cap}. "
+            f"exact profile enumerates 2^{n} subsets; cap is {DEFAULT_PROFILE_CAP}. "
             "Use a family-specific profile such as grid_iso_profile."
         )
     member, by_size = _subset_planes(n)

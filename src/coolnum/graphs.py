@@ -90,12 +90,13 @@ class Graph:
     @cached_property
     def balls(self) -> tuple[tuple[int, ...], ...]:
         """``balls[v][r]``: bitmask of the nodes within ``r`` hops of ``v``, for
-        ``r`` in ``0..`` the greatest finite distance (the diameter of a
-        connected graph); meant for graphs small enough to search."""
+        ``r`` in ``0..`` one past the greatest finite distance (the diameter
+        of a connected graph), so that every ball has a radius 1 and its last
+        entry is ``v``'s component; meant for graphs small enough to search."""
         top = max((d for row in self.distances for d in row), default=0)
         table = []
         for row in self.distances:
-            rings = [0] * (top + 1)
+            rings = [0] * (top + 2)
             for w, d in enumerate(row):
                 if d != UNREACHABLE:
                     rings[d] |= 1 << w

@@ -44,13 +44,18 @@ threshold, so every memo bound stays exact:
 The eccentricity bounds are tested once per child, at a radius fixed for
 the whole call: a child whose every node lies within ``r = t - 2`` hops
 (rounds) or ``r = t - 1`` hops (sources) cannot reach ``t - 1`` more, so it
-is skipped. The child boundary is ``K | {s}``, so a call ORs the cached
-balls (:attr:`Graph.balls`) of radius ``r`` around the members of ``K``
-into one union, and a child is skipped when that union ORed with the
-radius-``r`` ball of ``s`` is every node. At ``t = 1`` every child
-succeeds, a full boundary too, so the test starts at ``t = 2``. Every
-bound and both caps are cross-checked against unpruned search in the test
-suite, and the caps also against a solver-free enumeration of every run.
+is skipped. Each state carries its vector ``near``: ``near[j]`` is the set
+of nodes within ``j`` hops of its key ``K``, so ``near[0]`` is ``K`` and
+``near[1]`` is ``N[K]``. The child boundary is ``K | {s}``, so a child is
+skipped when ``near[r]`` ORed with the radius-``r`` ball of ``s``
+(:attr:`Graph.balls`) is every node. The child's own vector is
+``near[j + 1] | balls[s][j + 1]``, one ``map`` over at most ``d + 1`` ints
+whose entry 0 is the child's key; it depends only on that key, so the
+memo stays sound, and it is formed only when the child is expanded. At
+``t = 1`` every child succeeds, a full boundary too, so the test starts
+at ``t = 2``. Every bound and both caps are cross-checked against
+unpruned search in the test suite, and the caps also against a
+solver-free enumeration of every run.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -63,6 +68,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from operator import or_
 
 from .engine import CoolingTrace, run_burning, validate_sequence
 from .graphs import (
@@ -128,11 +134,14 @@ class _MaxSearch:
     """Shared threshold search for the most rounds or the most sources."""
 
     def __init__(self, g: Graph, objective: int, prune: bool, deadline: float | None):
-        self.masks = g.neighbor_masks
         self.balls = g.balls
         self.full = (1 << g.n) - 1
         self.first = self.full  # the first sources the empty boundary branches on
-        self.top = len(self.balls[0]) - 1  # the diameter, the last ball radius
+        self.top = len(self.balls[0]) - 2  # the diameter; each ball runs one radius past it
+        # the parent vector and ball of the empty boundary, key 0: nothing lies
+        # near it; one entry longer than a ball, so that the first round's
+        # vector runs to radius d + 1, as a ball does
+        self.empty = (0,) * (self.top + 3)
         self.objective = objective
         # a child within t - 2 + slack hops of every node cannot reach t - 1
         # more: at most ecc rounds, or ecc - 1 sources, remain from it
@@ -149,34 +158,16 @@ class _MaxSearch:
         self.ecc_cuts = 0
         self.counting_cuts = 0
 
-    def _spread(self, mask: int) -> int:
-        acc = mask
-        m = mask
-        masks = self.masks
-        while m:
-            low = m & -m
-            acc |= masks[low.bit_length() - 1]
-            m ^= low
-        return acc
-
-    def _reach(self, mask: int, r: int) -> int:
-        """The nodes within ``r`` hops of the set ``mask``; past the diameter
-        every ball is the whole graph."""
-        balls = self.balls
-        r = min(r, self.top)
-        acc = 0
-        while mask:
-            low = mask & -mask
-            acc |= balls[low.bit_length() - 1][r]
-            mask ^= low
-        return acc
-
-    def at_least(self, key: int, t: int) -> bool:
-        """Whether the run from a round boundary that is not full, given the set
-        ``key`` its next spread cools, can reach ``t`` on the objective; key 0
-        is the empty boundary before the first round."""
+    def at_least(self, t: int, up: tuple[int, ...], ball: tuple[int, ...]) -> bool:
+        """Whether the run from a state can reach ``t`` on the objective. A
+        state is the set ``key`` that the next spread cools, from a round
+        boundary that is not full; its vector ``near[j] = up[j + 1] | ball[j + 1]``,
+        the nodes within ``j`` hops of ``key``, comes from its parent's vector
+        ``up`` and its source's balls ``ball``, and is formed only if the
+        state is expanded. The empty boundary, key 0, has ``self.empty`` for both."""
         if t <= 0:
             return True
+        key = up[1] | ball[1]
         if key == self.full:
             # the next round's spread finishes the process: one final round,
             # no further source
@@ -196,24 +187,32 @@ class _MaxSearch:
             if time.monotonic() > self.deadline:
                 raise TimeBudgetExceededError("search exceeded its time budget")
         rem = full ^ key if key else self.first
-        balls, masks = self.balls, self.masks
-        nxt = self._spread(key)  # N[key | {s}] is nxt | N[s] for every child s
-        # the child boundary key | low is within r hops of every node exactly
-        # when reach | balls[i][r] is full; at t = 1 every child succeeds
+        balls = self.balls
+        # a starred display allocates the tuple at its length; tuple(map(...))
+        # allocates 10 entries and resizes, so each freed vector lands on a
+        # free list it was not taken from, which grows to 2,000 spare tuples
+        # per length (about 2 MB of resident memory)
+        near = (*map(or_, up[1:], ball[1:]),)
+        # the child boundary key | {s} is within r hops of every node exactly
+        # when near[r] | balls[s][r] is full; at t = 1 every child succeeds.
+        # The vector drops one radius a level, so a key k sources deep keeps
+        # radii 0..d + 1 - k; the probe starts at the caps, min(d + 1, ...)
+        # rounds and min(d, ...) sources, so r stays below d - k, inside it
         ecc = self.prune and t >= 2
-        r = min(t - 2 + self.slack, self.top)
-        reach = self._reach(key, r) if ecc else 0
+        r = t - 2 + self.slack
+        reach = near[r] if ecc else 0
         while rem:
             low = rem & -rem
             rem ^= low
             i = low.bit_length() - 1
-            if ecc and (reach | balls[i][r]) == full:
+            ball = balls[i]
+            if ecc and (reach | ball[r]) == full:
                 self.ecc_cuts += 1
                 continue
             # a full boundary ends the run in this round, so it reaches t = 1
             # only; its key would be full too, which at_least reads as a
             # boundary one round short of the end
-            if t == 1 or key | low != full and self.at_least(nxt | masks[i] | low, t - 1):
+            if t == 1 or key | low != full and self.at_least(t - 1, near, ball):
                 self.memo[key] = (t, hi, i)
                 return True
         self.memo[key] = (lo, t - 1, choice)
@@ -222,7 +221,7 @@ class _MaxSearch:
     def solve(self, first: int) -> tuple[int, list[int]]:
         """Value and lowest-id witness over the first sources in the mask ``first``."""
         self.first = first
-        n, d = len(self.masks), self.top
+        n, d = len(self.balls), self.top
         # the paper's diameter and order caps bound every run, so they bound
         # the best over any set of first sources too; the unpruned reference
         # probes from n instead, so that it tests the caps
@@ -233,16 +232,17 @@ class _MaxSearch:
         else:
             start = max(1, min(d, (n + 1) // 2))
         value = start
-        while not self.at_least(0, value):
+        while not self.at_least(value, self.empty, self.empty):
             value -= 1
         self.probes = start - value + 1
-        seq, key, need = [], 0, value
-        while key != self.full:  # the lowest-id child that keeps the optimum
+        seq, need, up, ball = [], value, self.empty, self.empty
+        # the lowest-id child that keeps the optimum
+        while (key := up[1] | ball[1]) != self.full:
             if self.memo.get(key, self.unknown)[0] != need:
-                self.at_least(key, need)  # lo < need <= hi here, so this expands
+                self.at_least(need, up, ball)  # lo < need <= hi here, so this expands
             choice = self.memo[key][2]
             seq.append(choice)
-            key = self._spread(key) | self.masks[choice] | 1 << choice
+            up, ball = (*map(or_, up[1:], ball[1:]),), self.balls[choice]
             need -= 1
         return value, seq
 
@@ -345,7 +345,7 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
     n = g.n
     full = (1 << n) - 1
     dist = g.distances
-    balls = g.balls  # radii up to the diameter; b <= diameter + 1 bounds every k tried
+    balls = g.balls  # radii past the diameter; b <= diameter + 1 bounds every k tried
     expanded = 0
     cache_hits = 0
 

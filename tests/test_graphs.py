@@ -379,14 +379,17 @@ class TestBalls:
         for g in samples:
             top = max(d for row in g.distances for d in row)
             for v, row in enumerate(g.distances):
-                assert len(g.balls[v]) == top + 1, g.adj
+                assert len(g.balls[v]) == top + 2, g.adj
                 for r, ball in enumerate(g.balls[v]):
                     assert ball == sum(1 << w for w, d in enumerate(row)
                                        if d != UNREACHABLE and d <= r), (g.adj, v, r)
 
     def test_radius_runs_to_the_diameter(self):
         g = gen_grid(4)
-        assert all(len(row) == diameter(g) + 1 for row in g.balls)
-        assert g.balls[0][diameter(g)] == (1 << g.n) - 1
+        # one radius past the diameter, so the 1-node graph's balls have a
+        # radius 1 too, which the cooling search reads a child's key from
+        assert all(len(row) == diameter(g) + 2 for row in g.balls)
+        assert g.balls[0][diameter(g)] == g.balls[0][diameter(g) + 1] == (1 << g.n) - 1
+        assert build_graph(1, []).balls == ((1, 1),)
         assert g.balls is g.balls
         assert build_graph(0, []).balls == ()

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from functools import lru_cache
 
 import pytest
 
@@ -30,11 +32,67 @@ def all_roots(g, objective):
     return search.solve(search.full)
 
 
-def ladder_value(search, key):
-    """The objective from ``key``: the last ``t`` of ``at_least(key, 1)``,
-    ``at_least(key, 2)``, ... that holds."""
-    t = 0
-    while search.at_least(key, t + 1):
+def reach_by_bfs(g, mask, radii):
+    """The nodes within ``j`` hops of the set ``mask``, for ``j`` in
+    ``0..radii - 1``, by breadth-first search, one layer of neighbours a radius."""
+    masks = g.neighbor_masks
+    reach = [mask]
+    while len(reach) < radii:
+        grown = seen = reach[-1]
+        for v in range(g.n):
+            if seen >> v & 1:
+                grown |= masks[v]
+        reach.append(grown)
+    return tuple(reach)
+
+
+def spread_by_bfs(g, cooled):
+    """``N[cooled]``, the set the next spread from the boundary ``cooled`` cools."""
+    return reach_by_bfs(g, cooled, 2)[1]
+
+
+def state(g, key):
+    """``at_least``'s parent vector and ball for the state ``key``, from BFS:
+    radius ``j + 1`` of the vector holds the nodes within ``j`` hops of
+    ``key`` and the ball is empty, so the state's own vector is the reach of
+    ``key``, radii 0 to one past the diameter."""
+    up = (0,) + reach_by_bfs(g, key, len(g.balls[0]))  # as many radii as a ball
+    return up, (0,) * len(up)
+
+
+def carried_vectors(search):
+    """Run ``search.solve`` over every first source and return the distinct
+    vectors the search carried: the vector ``near`` of each state it expanded,
+    read from ``at_least``'s frame as the call returns, and the parent vector
+    ``up`` of each call, which also holds the witness walk's vectors."""
+    code = solver._MaxSearch.at_least.__code__
+    vectors = set()
+
+    def on_return(frame, event, arg):
+        if event == "return" and "near" in frame.f_locals:
+            vectors.add(frame.f_locals["near"])
+        return on_return
+
+    def on_call(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        vectors.add(frame.f_locals["up"])
+        return on_return
+
+    previous = sys.gettrace()
+    sys.settrace(on_call)
+    try:
+        search.solve(search.full)
+    finally:
+        sys.settrace(previous)
+    return vectors
+
+
+def ladder_value(search, g, key):
+    """The objective from ``key``: the last ``t`` of ``at_least`` at 1, 2, ...
+    that holds."""
+    t, args = 0, state(g, key)
+    while search.at_least(t + 1, *args):
         t += 1
     return t
 
@@ -216,6 +274,25 @@ class TestCoolingNumber:
                 solve(gen_path(3), first_sources=bad)
 
 
+def spider_with_legs(*legs):
+    """The spider with one leg of each given length; node 0 is the centre and
+    each leg's nodes are numbered outward, one leg after the other."""
+    edges, nxt = [], 1
+    for length in legs:
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return build_graph(nxt, edges)
+
+
+def seeded_tree_60():
+    """The second of three random trees of 50, 60 and 70 nodes drawn in turn
+    from ``random.Random(5)``."""
+    rng = random.Random(5)
+    return [random_connected_graph(rng, n, 0.0) for n in (50, 60, 70)][1]
+
+
 class TestPinnedWork:
     """Deterministic work counts; a change here is a change to the search."""
 
@@ -239,6 +316,21 @@ class TestPinnedWork:
         res = solve(graph, SearchLimits(max_nodes=36))
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
+
+    # deep instances, thousands of states each; a spider with unequal legs
+    # has no automorphism, so the orbit reduction does not shrink it
+    @pytest.mark.parametrize("graph, pinned, witness", [
+        (gen_grid(8), (11, 5305, 27113, 118072, 138), [0, 2, 4, 6, 15, 29, 43, 57, 60, 62]),
+        (spider_with_legs(5, 6, 7, 8, 9), (14, 21170, 45809, 196412, 145807),
+         [11, 18, 16, 14, 5, 3, 1, 20, 22, 24, 26, 32, 34]),
+        (seeded_tree_60(), (14, 4403, 49595, 73985, 1599),
+         [11, 0, 6, 14, 9, 7, 1, 5, 3, 12, 29, 47, 26]),
+    ], ids=["grid8", "spider-legs-5-9", "random-tree-60"])
+    def test_deep_instances(self, graph, pinned, witness):
+        res = cooling_number(graph, SearchLimits(max_nodes=graph.n))
+        s = res.stats
+        assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
+        assert list(res.witness.sources) == witness
 
     def test_global_cap_stops_the_root_loop(self):
         # the first probe is the order cap 9 // 2 + 1 = 5, below the diameter
@@ -311,39 +403,75 @@ def ecc_by_bfs(g, mask):
         frontier = nxt
 
 
+@lru_cache(maxsize=None)
+def search_states(g):
+    """The vectors the pruned search carries on ``g`` for both objectives,
+    and for the unpruned one as well on graphs of up to 10 nodes."""
+    vectors = set()
+    for objective in (solver._ROUNDS, solver._SOURCES):
+        for prune in (True, False) if g.n <= 10 else (True,):
+            vectors |= carried_vectors(solver._MaxSearch(g, objective, prune, None))
+    return vectors
+
+
 def test_within_matches_bfs_eccentricity(corpus, within_scan):
+    """Radius ``r`` of a carried vector is every node exactly when its key
+    has eccentricity at most ``r``; so is the scan, on random sets."""
     rng = random.Random(23)
     graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
     for g in graphs:
-        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
+        full, d = (1 << g.n) - 1, diameter(g)
+        for near in search_states(g):
+            if not near[0]:
+                continue  # the empty boundary has no eccentricity
+            ecc = ecc_by_bfs(g, near[0])
+            for r in range(min(len(near), d + 1)):
+                assert (near[r] == full) == (ecc <= r), (g.adj, near[0], r)
+                assert within_scan(g, near[0], r) == (ecc <= r), (g.adj, near[0], r)
         for _ in range(20):
             mask = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
             ecc = ecc_by_bfs(g, mask)
-            for r in range(diameter(g) + 1):
-                assert (search._reach(mask, r) == search.full) == (ecc <= r), (g.adj, mask, r)
+            for r in range(d + 1):
                 assert within_scan(g, mask, r) == (ecc <= r), (g.adj, mask, r)
 
 
 def test_child_test_by_ball_union_matches_scan(corpus, within_scan):
-    """The search's per-child test, ``reach(K, r) | ball(s, r) == full``,
-    says the same as scanning every node of the child boundary ``K | {s}``,
-    for every post-spread set ``K``, every source ``s`` outside it and every
-    radius up to the diameter (a call at threshold ``t`` uses ``t - 2`` for
-    rounds and ``t - 1`` for sources)."""
+    """The search's per-child test, ``near[r] | ball(s, r) == full``, says
+    the same as scanning every node of the child boundary ``K | {s}``, for
+    ten seeded picks per graph among the post-spread sets ``K`` the search
+    carries, every source ``s`` outside it and every radius its vector holds
+    up to the diameter (a call at threshold ``t`` uses ``t - 2`` for rounds
+    and ``t - 1`` for sources)."""
     rng = random.Random(29)
     graphs = [g for _, g in corpus if g.n > 1] + [gen_grid(6), gen_cycle(24)]
     for g in graphs:
-        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
-        for _ in range(5):
-            boundary = sum(1 << v for v in rng.sample(range(g.n), rng.randrange(1, g.n // 2 + 1)))
-            key = search._spread(boundary)
+        full, d = (1 << g.n) - 1, diameter(g)
+        vectors = sorted(search_states(g))
+        for near in rng.sample(vectors, min(len(vectors), 10)):
+            key = near[0]
             lows = [s for s in range(g.n) if not key >> s & 1]
-            for r in range(diameter(g) + 1):
-                reach = search._reach(key, r)
+            for r in range(min(len(near), d + 1)):
                 for s in lows:
                     child = key | 1 << s
-                    assert ((reach | g.balls[s][r]) == search.full) == within_scan(g, child, r), \
-                        (g.adj, boundary, s, r)
+                    assert ((near[r] | g.balls[s][r]) == full) == within_scan(g, child, r), \
+                        (g.adj, key, s, r)
+
+
+def test_each_state_carries_the_bfs_reach_of_its_key(corpus):
+    """At every state the search expands, and on every vector the witness
+    walk passes down, ``near[j]`` is the set of nodes within ``j`` hops of the
+    key ``near[0]``, for ``j = 0..diameter``; a radius past the vector's end
+    holds every node, so the search never needs it."""
+    graphs = [g for _, g in corpus] + [gen_grid(6), gen_cycle(24), gen_path(1), gen_path(2)]
+    for g in graphs:
+        full, d = (1 << g.n) - 1, diameter(g)
+        vectors = search_states(g)
+        assert any(not near[0] for near in vectors)  # the first round is expanded
+        for near in vectors:
+            reach = reach_by_bfs(g, near[0], max(len(near), d + 1))
+            for j in range(len(reach)):
+                held = near[j] if j < len(near) else full
+                assert held == reach[j], (g.adj, near, j)
 
 
 class TestPostSpreadKey:
@@ -351,13 +479,14 @@ class TestPostSpreadKey:
 
     def test_boundaries_with_one_closed_neighbourhood_share_an_entry(self):
         # on P_5, the boundaries {1} and {0, 1} both spread to {0, 1, 2}
-        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, True, None)
-        key = search._spread(0b00010)
-        assert search._spread(0b00011) == key == 0b00111
-        assert search.at_least(key, 2)
+        g = gen_path(5)
+        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
+        key = spread_by_bfs(g, 0b00010)
+        assert spread_by_bfs(g, 0b00011) == key == 0b00111
+        assert search.at_least(2, *state(g, key))
         expanded, entries = search.expanded, len(search.memo)
         assert (expanded, entries) == (1, 1)
-        assert search.at_least(search._spread(0b00011), 2)
+        assert search.at_least(2, *state(g, spread_by_bfs(g, 0b00011)))
         assert (search.expanded, len(search.memo), search.memo_hits) == (expanded, entries, 1)
 
     def test_spider_5x5_pinned(self):
@@ -379,9 +508,10 @@ class TestThresholdSearch:
         # with source 2 is full: one source and one round, though the child
         # lies within 0 hops of every node, so no eccentricity test runs at t = 1
         for objective in (solver._ROUNDS, solver._SOURCES):
-            search = solver._MaxSearch(gen_path(3), objective, True, None)
-            assert search.at_least(0b011, 1)
-            assert not search.at_least(0b011, 2)  # by counting, with no memo write
+            g = gen_path(3)
+            search = solver._MaxSearch(g, objective, True, None)
+            assert search.at_least(1, *state(g, 0b011))
+            assert not search.at_least(2, *state(g, 0b011))  # by counting, with no memo write
             lo, _, choice = search.memo[0b011]
             assert (lo, choice) == (1, 2)
         res = max_sequence_length(gen_path(1))
@@ -399,11 +529,12 @@ class TestThresholdSearch:
     def test_a_failure_keeps_the_choice(self):
         # a later failure above lo narrows hi and leaves the choice that
         # witnesses lo, which the walk reads
-        search = solver._MaxSearch(gen_path(5), solver._ROUNDS, False, None)
-        key = search._spread(0b00001)
-        assert search.at_least(key, 2)
+        g = gen_path(5)
+        search = solver._MaxSearch(g, solver._ROUNDS, False, None)
+        key = spread_by_bfs(g, 0b00001)
+        assert search.at_least(2, *state(g, key))
         lo, _, choice = search.memo[key]
-        assert not search.at_least(key, 4)
+        assert not search.at_least(4, *state(g, key))
         assert search.memo[key] == (lo, 3, choice)
 
 
@@ -594,7 +725,7 @@ class TestFirstRound:
                 search = solver._MaxSearch(g, objective, False, None)
                 search.solve(search.full)
                 for key in list(search.memo):
-                    value = ladder_value(search, key)
+                    value = ladder_value(search, g, key)
                     u = g.n - key.bit_count()
                     assert value <= bound(u), (name, objective, key)
                     if value == bound(u):

@@ -2,10 +2,10 @@
 
 Each mutant replaces one exact snippet of one module under ``src/coolnum``
 (a single token or operand where possible): the cooling search's key,
-pruning rules, memo bounds, first probe and witness walk and the burning
-search's radius order in ``solver.py``, the orbit reduction in
-``graphs.py``. It does so in a throwaway copy of the
-repo, then runs ``tests/test_graphs.py``, ``tests/test_solver.py``,
+carried vector, pruning rules, memo bounds, first probe and witness walk
+and the burning search's radius order in ``solver.py``, the orbit
+reduction in ``graphs.py``. It does so in a throwaway copy of the repo,
+then runs ``tests/test_graphs.py``, ``tests/test_solver.py``,
 ``tests/test_properties.py`` and ``tests/test_acceptance.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
@@ -50,9 +50,8 @@ class Mutant:
 MUTANTS = [
     # the post-spread key: closed neighbourhoods, and a full boundary decided
     # before its key is formed
-    Mutant("child-key-open", "at_least(nxt | masks[i] | low, t - 1)",
-           "at_least(nxt | masks[i], t - 1)"),
-    Mutant("walk-key-open", "self.masks[choice] | 1 << choice", "self.masks[choice]"),
+    Mutant("child-key-open", "key = up[1] | ball[1]\n", "key = up[1] | ball[1] ^ ball[0]\n"),
+    Mutant("walk-key-open", "(key := up[1] | ball[1])", "(key := up[1] | ball[1] ^ ball[0])"),
     Mutant("child-full-boundary", "key | low != full and self.at_least", "self.at_least"),
     Mutant("child-full-boundary-t1", "if t == 1 or key | low", "if key | low"),
     Mutant("full-key-value", "return t <= (1 if self.objective == _ROUNDS else 0)",
@@ -73,11 +72,17 @@ MUTANTS = [
     Mutant("counting-sources", "else (u - 1) // 2", "else u // 2 - 1"),
     Mutant("counting-sources-loose", "else (u - 1) // 2", "else u // 2"),
     Mutant("counting-threshold", "t > counting + 1", "t >= counting + 1"),
+    # the carried vector: a child's radius j is its parent's radius j + 1,
+    # in the search and on the witness walk
+    Mutant("vector-shift", "near = (*map(or_, up[1:], ball[1:]),)",
+           "near = (*map(or_, up, ball[1:]),)"),
+    Mutant("walk-vector-shift", "up, ball = (*map(or_, up[1:], ball[1:]),)",
+           "up, ball = (*map(or_, up, ball[1:]),)"),
     # eccentricity bound: one radius per call, tested from t = 2 on
-    Mutant("ecc-r-1", "self._reach(key, r)", "self._reach(key, r - 1)"),
-    Mutant("ecc-r+1", "self._reach(key, r)", "self._reach(key, r + 1)"),
-    Mutant("ecc-radius-low", "r = min(t - 2 + self.slack", "r = min(t - 3 + self.slack"),
-    Mutant("ecc-radius-high", "r = min(t - 2 + self.slack", "r = min(t - 1 + self.slack"),
+    Mutant("ecc-r-1", "reach = near[r] if ecc", "reach = near[r - 1] if ecc"),
+    Mutant("ecc-r+1", "reach = near[r] if ecc", "reach = near[r + 1] if ecc"),
+    Mutant("ecc-radius-low", "r = t - 2 + self.slack", "r = t - 3 + self.slack"),
+    Mutant("ecc-radius-high", "r = t - 2 + self.slack", "r = t - 1 + self.slack"),
     Mutant("ecc-from-t1", "self.prune and t >= 2", "self.prune and t >= 1"),
     Mutant("ecc-slack-sources", "self.slack = 0 if objective == _ROUNDS else 1",
            "self.slack = 0 if objective == _ROUNDS else 0"),

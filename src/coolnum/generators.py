@@ -55,11 +55,22 @@ def simplicial_cmp(u: GridCoord | tuple[int, int], v: GridCoord | tuple[int, int
 
 
 def simplicial_order(n: int) -> list[int]:
-    """All node ids of the n x n grid, smallest first in the simplicial order."""
+    """All node ids of the n x n grid, smallest first in the simplicial order.
+
+    Anti-diagonal ``s`` (coordinate sum) runs from row ``lo = max(1, s - n)``
+    down to row ``min(n, s - 1)``; one row down is one column left, so its
+    ids step by ``n - 1``.
+    """
+    if n < 1:
+        raise GraphError(f"grid needs n >= 1, got {n}")
+    if n == 1:
+        return [0]
+    step = n - 1
     out = []
-    for s in range(2, 2 * n + 1):  # anti-diagonals by coordinate sum, then row
-        for row in range(max(1, s - n), min(n, s - 1) + 1):
-            out.append((row - 1) * n + (s - row - 1))
+    for s in range(2, 2 * n + 1):
+        lo, hi = max(1, s - n), min(n, s - 1)
+        start = (lo - 1) * n + (s - lo - 1)
+        out.extend(range(start, start + (hi - lo + 1) * step, step))
     return out
 
 
@@ -78,23 +89,29 @@ def gen_cycle(n: int) -> Graph:
 
 
 def gen_grid(n: int) -> Graph:
-    """The n x n Cartesian grid with 4-neighbor adjacency."""
+    """The n x n Cartesian grid with 4-neighbor adjacency.
+
+    Each neighbour tuple is sorted: up, left, right, down, leaving out the
+    ones past the border. A row's interior cells get theirs from one ``zip``
+    of column ranges; its first and last cell are built by hand.
+    """
     if n < 1:
         raise GraphError(f"grid needs n >= 1, got {n}")
+    if n == 1:
+        return known_connected(Graph(1, ((),)))
     adj = []
-    for r in range(n):
-        for c in range(n):
-            v = r * n + c
-            nbrs = []  # already in sorted order: up, left, right, down
-            if r > 0:
-                nbrs.append(v - n)
-            if c > 0:
-                nbrs.append(v - 1)
-            if c + 1 < n:
-                nbrs.append(v + 1)
-            if r + 1 < n:
-                nbrs.append(v + n)
-            adj.append(tuple(nbrs))
+    bottom = n * n - n
+    for a in range(0, n * n, n):  # a and b: the row's first and last id
+        b = a + n - 1
+        up, down = a > 0, a < bottom
+        cols = [range(a, b - 1), range(a + 2, b + 1)]  # left and right of a + 1 .. b - 1
+        if up:
+            cols.insert(0, range(a + 1 - n, b - n))
+        if down:
+            cols.append(range(a + 1 + n, b + n))
+        adj.append((a - n,) * up + (a + 1,) + (a + n,) * down)
+        adj.extend(zip(*cols))
+        adj.append((b - n,) * up + (b - 1,) + (b + n,) * down)
     return known_connected(Graph(n * n, tuple(adj)))
 
 

@@ -12,6 +12,7 @@ the verification suites read.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import AbstractSet, Callable, Mapping
 
 from .engine import CoolingTrace, run_cooling, validate_sequence
@@ -128,18 +129,18 @@ def _ilt_path_value(n: int, t: int) -> tuple[str, int, int]:
 
 
 class _SimplicialPolicy:
-    """Always pick the smallest uncooled node in the simplicial order."""
+    """Always pick the smallest uncooled node in the simplicial order.
+
+    It holds one iterator over the order and skips the cooled nodes it meets.
+    That is sound because the engine passes its one cooled set to every call
+    and only ever adds to it, so a node skipped once stays cooled.
+    """
 
     def __init__(self, order: list[int]):
-        self.order = order
-        self.idx = 0
+        self.rest = iter(order)
 
     def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int:
-        while self.order[self.idx] in cooled:
-            self.idx += 1
-        v = self.order[self.idx]
-        self.idx += 1
-        return v
+        return next(filterfalse(cooled.__contains__, self.rest))
 
 
 def grid_simplicial_strategy(n: int) -> CoolingTrace:

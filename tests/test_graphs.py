@@ -225,6 +225,12 @@ class TestGenerators:
         g = gen_grid(3)
         assert g.n == 9 and g.num_edges == 12
 
+    def test_grid_matches_edge_list(self):
+        for n in range(1, 41):
+            edges = [(v, v + 1) for v in range(n * n) if v % n < n - 1]
+            edges += [(v, v + n) for v in range(n * n - n)]
+            assert gen_grid(n) == build_graph(n * n, edges), n
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_grid_degree_profile(self, n):
         g = gen_grid(n)

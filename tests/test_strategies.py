@@ -7,7 +7,7 @@ import pytest
 from coolnum import graphs, strategies
 
 from coolnum.bounds import grid_iso_upper_bound
-from coolnum.engine import validate_sequence
+from coolnum.engine import run_cooling, validate_sequence
 from coolnum.generators import (
     GridCoord,
     gen_complete_caterpillar,
@@ -15,6 +15,7 @@ from coolnum.generators import (
     gen_grid,
     gen_path,
     gen_spider,
+    grid_coord,
     simplicial_cmp,
     simplicial_key,
     simplicial_order,
@@ -59,8 +60,39 @@ class TestSimplicialOrder:
         order = simplicial_order(5)
         assert sorted(order) == list(range(25))
 
+    def test_order_matches_sorted_keys(self):
+        for n in range(1, 41):
+            by_key = sorted(range(n * n), key=lambda v: simplicial_key(grid_coord(v, n)))
+            assert simplicial_order(n) == by_key, n
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_n_below_one_rejected(self, n):
+        with pytest.raises(GraphError, match=f"grid needs n >= 1, got {n}"):
+            simplicial_order(n)
+
+
+class IndexLoopPolicy:
+    """The simplicial pick as an index loop over the order: the reference
+    for the strategy's iterator."""
+
+    def __init__(self, order):
+        self.order = order
+        self.idx = 0
+
+    def __call__(self, g, cooled, t):
+        while self.order[self.idx] in cooled:
+            self.idx += 1
+        v = self.order[self.idx]
+        self.idx += 1
+        return v
+
 
 class TestGridStrategy:
+    def test_matches_index_loop_policy(self):
+        for n in range(1, 61):
+            reference = run_cooling(gen_grid(n), IndexLoopPolicy(simplicial_order(n)))
+            assert grid_simplicial_strategy(n) == reference, n
+
     def test_n1_single_round(self):
         assert grid_simplicial_strategy(1).num_rounds == 1
 

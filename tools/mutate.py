@@ -4,9 +4,11 @@ Each mutant replaces one exact snippet of one module under ``src/coolnum``
 (a single token or operand where possible): the cooling search's key,
 carried vector, pruning rules, memo bounds, first probe and witness walk
 and the burning search's radius order in ``solver.py``, the orbit
-reduction in ``graphs.py``. It does so in a throwaway copy of the repo,
-then runs ``tests/test_graphs.py``, ``tests/test_solver.py``,
-``tests/test_properties.py`` and ``tests/test_acceptance.py`` with ``-x``.
+reduction in ``graphs.py``, the grid's index arithmetic in
+``generators.py`` and the simplicial pick in ``strategies.py``. It does so
+in a throwaway copy of the repo, then runs ``tests/test_graphs.py``,
+``tests/test_solver.py``, ``tests/test_properties.py``,
+``tests/test_strategies.py`` and ``tests/test_acceptance.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
 survival is expected; any other survivor means a rule the tests do not
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_graphs.py", "tests/test_solver.py", "tests/test_properties.py",
-         "tests/test_acceptance.py"]
-TIMEOUT_S = 300  # the four files take about 10 s on a 2-core machine
+         "tests/test_strategies.py", "tests/test_acceptance.py"]
+TIMEOUT_S = 300  # the five files take about 15 s on a 2-core machine
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,15 @@ MUTANTS = [
     Mutant("automorphism-any-permutation",
            "return perm if all(masks[perm[u]] >> perm[v] & 1 for u, v in edges) else None",
            "return perm", module="graphs.py"),
+    # the grid: each row's interior neighbours come from column ranges, its
+    # end cells are built by hand, and an anti-diagonal steps by n - 1
+    Mutant("grid-right-start", "range(a + 2, b + 1)", "range(a + 1, b + 1)", module="generators.py"),
+    Mutant("grid-last-column-down", "(b + n,) * down", "(b + n - 1,) * down",
+           module="generators.py"),
+    Mutant("diagonal-step", "step = n - 1", "step = n", module="generators.py"),
+    # the simplicial pick skips the cooled nodes, not the uncooled ones
+    Mutant("simplicial-skip-uncooled", "next(filterfalse(", "next(filter(",
+           module="strategies.py"),
 ]
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import filterfalse
 from pathlib import Path
-from typing import AbstractSet, Protocol
+from typing import AbstractSet, Iterable, Iterator, Protocol, Sequence
 
 from .graphs import DisconnectedGraphError, Graph, GraphError
 
@@ -87,7 +88,7 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
     cooled: set[int] = set()
     border: set[int] = set()  # uncooled nodes adjacent to a cooled node
     records: list[RoundRecord] = []
-    lowest = 0  # no id below it is uncooled; moves forward only, as cooled only grows
+    lowest = iter(range(g.n))  # no id it has passed is uncooled, as cooled only grows
     t = 0
     while len(cooled) < g.n:
         t += 1
@@ -99,9 +100,7 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
         if len(cooled) < g.n:
             source = policy(g, cooled, t)
             if source is None:
-                while lowest in cooled:
-                    lowest += 1
-                source = lowest
+                source = next(filterfalse(cooled.__contains__, lowest))
             # a bool or a float is no node id, even where it equals one
             if type(source) is not int or not (0 <= source < g.n):
                 raise InvalidSourceError(source, t, f"policy returned invalid node {source!r}")
@@ -119,24 +118,27 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
 run_burning = run_cooling
 
 
-class _SequencePolicy:
-    """Plays a fixed source list, then leaves the picks to the engine's fallback."""
+class Script:
+    """Plays one entry per round, then leaves the picks to the engine's fallback.
 
-    def __init__(self, seq: list[int]):
-        self.seq = seq
-        self.idx = 0
+    An entry is a sequence of candidates; round ``t`` picks the first
+    uncooled one of the ``t``-th entry. An entry may also be an iterator
+    shared by several rounds, as the grid's simplicial order is: that is
+    sound because the engine passes its one cooled set to every call and
+    only ever adds to it, so a node skipped once stays cooled. If every
+    candidate is cooled, the entry's last node is returned for the engine
+    to reject.
+    """
+
+    def __init__(self, entries: Iterable[Sequence[int]]):
+        self.entries = iter(entries)
 
     def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int | None:
-        if self.idx < len(self.seq):
-            v = self.seq[self.idx]
-            self.idx += 1
-            if type(v) is not int:
-                raise InvalidSourceError(v, t, f"sequence element {v!r} is not a node id")
-            if not (0 <= v < g.n):
-                raise InvalidSourceError(v, t, f"sequence element {v} outside 0..{g.n - 1}")
-            if v in cooled:
-                raise InvalidSourceError(v, t, f"sequence element {v} is already cooled")
-            return v
+        for entry in self.entries:  # this round's entry, if any is left
+            try:
+                return next(filterfalse(cooled.__contains__, entry))
+            except StopIteration:
+                return entry[-1]
         return None
 
 
@@ -150,10 +152,21 @@ def validate_sequence(g: Graph, seq: list[int] | tuple[int, ...]) -> CoolingTrac
     bound on the cooling number. A sequence the process finishes before
     exhausting is rejected.
     """
-    policy = _SequencePolicy(list(seq))
-    trace = run_cooling(g, policy)
-    if policy.idx < len(policy.seq):
-        leftover = policy.seq[policy.idx :]
+    rest = enumerate(seq, 1)
+
+    def entries() -> Iterator[tuple[int]]:
+        # each element is checked only when its round comes, so the first
+        # fault in round order is the one reported
+        for t, v in rest:
+            if type(v) is not int:
+                raise InvalidSourceError(v, t, f"sequence element {v!r} is not a node id")
+            if not (0 <= v < g.n):
+                raise InvalidSourceError(v, t, f"sequence element {v} outside 0..{g.n - 1}")
+            yield (v,)
+
+    trace = run_cooling(g, Script(entries()))
+    leftover = [v for _, v in rest]
+    if leftover:
         raise InvalidSourceError(
             leftover[0],
             trace.num_rounds,

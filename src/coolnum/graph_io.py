@@ -13,7 +13,7 @@ from .graphs import Graph, GraphError, build_graph
 
 
 def read_graph(path: str | Path) -> Graph:
-    """Load a graph file, deduplicating repeated edges with a warning."""
+    """Load a graph file, warning about and collapsing repeated edges."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -27,9 +27,6 @@ def read_graph(path: str | Path) -> Graph:
         raise GraphError(f'{path}: "n" must be an integer')
     if not isinstance(raw, list):
         raise GraphError(f'{path}: "edges" must be a list of pairs')
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    dupes = 0
     for item in raw:
         if (
             not isinstance(item, list)
@@ -37,16 +34,10 @@ def read_graph(path: str | Path) -> Graph:
             or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)
         ):
             raise GraphError(f"{path}: malformed edge entry {item!r}")
-        u, v = item
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            dupes += 1
-            continue
-        seen.add(key)
-        edges.append((u, v))
+    dupes = len(raw) - len({(min(u, v), max(u, v)) for u, v in raw})
     if dupes:
         warnings.warn(f"{path}: dropped {dupes} duplicate edge(s)", stacklevel=2)
-    return build_graph(n, edges)
+    return build_graph(n, raw)  # which collapses the duplicates
 
 
 def write_graph(g: Graph, path: str | Path) -> None:

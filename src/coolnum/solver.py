@@ -70,7 +70,7 @@ import time
 from dataclasses import dataclass
 from operator import or_
 
-from .engine import CoolingTrace, run_burning, validate_sequence
+from .engine import CoolingTrace, Script, run_burning, validate_sequence
 from .graphs import (
     DisconnectedGraphError,
     Graph,
@@ -247,9 +247,10 @@ class _MaxSearch:
         return value, seq
 
 
-def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchLimits:
+def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> tuple[float, float | None]:
     """Resolve the node cap, check ``g`` against it and check the time budget;
-    the only place limits are read."""
+    the only place limits are read. Returns the start time and the deadline,
+    ``None`` without a budget."""
     limits = limits or SearchLimits()
     cap = limits.max_nodes
     if cap is None:
@@ -269,14 +270,13 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> SearchL
         raise GraphError("solver needs at least one node")
     if not g.is_connected:
         raise DisconnectedGraphError("solver requires a connected graph")
-    return SearchLimits(cap, budget)
+    start = time.monotonic()
+    return start, None if budget is None else start + budget
 
 
 def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: bool,
                first_sources: list[int] | None) -> SearchResult:
-    limits = _prepare(g, limits, DEFAULT_COOLING_MAX_NODES)
-    start = time.monotonic()
-    deadline = start + limits.time_budget if limits.time_budget is not None else None
+    start, deadline = _prepare(g, limits, DEFAULT_COOLING_MAX_NODES)
 
     if first_sources is None:
         listed = list(range(g.n))
@@ -339,9 +339,7 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
     with radii ``k-1..0`` by DFS over (uncovered set, unused radii) states,
     then replays the first cover found through the engine.
     """
-    limits = _prepare(g, limits, DEFAULT_BURNING_MAX_NODES)
-    start = time.monotonic()
-    deadline = start + limits.time_budget if limits.time_budget is not None else None
+    start, deadline = _prepare(g, limits, DEFAULT_BURNING_MAX_NODES)
     n = g.n
     full = (1 << n) - 1
     dist = g.distances
@@ -384,10 +382,10 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
         if assignment is None:
             continue
         planned = [c for _, c in sorted(assignment, key=lambda rc: -rc[0])]
-        # a planned center that is already burned has its ball burned anyway,
-        # so the engine's smallest-unburned fallback takes its round
-        trace = run_burning(g, lambda g, burned, t: planned[t - 1] if t <= len(planned)
-                            and planned[t - 1] not in burned else None)
+        # each round plays its planned center, else the smallest unburned
+        # node: a planned center that is already burned has its ball burned
+        # anyway, so any other pick keeps the cover
+        trace = run_burning(g, Script((c, *range(n)) for c in planned))
         if trace.num_rounds != k:
             raise AssertionError(f"cover replay gave {trace.num_rounds} rounds, expected {k}")
         return SearchResult(k, trace, SearchStats(expanded, cache_hits, time.monotonic() - start))

@@ -1,21 +1,23 @@
 """Constructive cooling strategies and the closed-form values they certify.
 
-Each strategy either emits an explicit source sequence (playable through
-``validate_sequence``, which auto-extends once the scripted part is done) or
-a policy driven directly by ``run_cooling``. Round counts of these runs are
-lower bounds on the cooling number by definition; for grids and complete
-caterpillars they are exactly optimal. The certified families are one
-table, :data:`FORMS`, which :func:`closed_form`, ``coolnum strategy`` and
-the verification suites read.
+Each strategy either emits an explicit source sequence, played by
+``validate_sequence``, or, for the grid and the spider, hands the engine's
+:class:`~coolnum.engine.Script` one entry of candidates per round: the
+simplicial order, shared by every round, or the leg the schedule drains.
+Either way the engine's smallest-id fallback picks once the script runs
+out. Round counts of these runs are lower bounds on the cooling number by
+definition; for grids and complete caterpillars they are exactly optimal.
+The certified families are one table, :data:`FORMS`, which
+:func:`closed_form`, ``coolnum strategy`` and the verification suites read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import filterfalse
-from typing import AbstractSet, Callable, Mapping
+from itertools import repeat
+from typing import Callable, Iterator, Mapping
 
-from .engine import CoolingTrace, run_cooling, validate_sequence
+from .engine import CoolingTrace, Script, run_cooling, validate_sequence
 from .generators import (
     gen_complete_caterpillar,
     gen_cycle,
@@ -128,25 +130,12 @@ def _ilt_path_value(n: int, t: int) -> tuple[str, int, int]:
     return _exact(v)
 
 
-class _SimplicialPolicy:
-    """Always pick the smallest uncooled node in the simplicial order.
-
-    It holds one iterator over the order and skips the cooled nodes it meets.
-    That is sound because the engine passes its one cooled set to every call
-    and only ever adds to it, so a node skipped once stays cooled.
-    """
-
-    def __init__(self, order: list[int]):
-        self.rest = iter(order)
-
-    def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int:
-        return next(filterfalse(cooled.__contains__, self.rest))
-
-
 def grid_simplicial_strategy(n: int) -> CoolingTrace:
     """Cool the n x n grid by simplicial order; the round count equals its
     cooling number."""
-    return run_cooling(gen_grid(n), _SimplicialPolicy(simplicial_order(n)))
+    # one iterator over the order serves every round, so the engine's cooled
+    # set is scanned past each node once
+    return run_cooling(gen_grid(n), Script(repeat(iter(simplicial_order(n)))))
 
 
 def _diametral_path(g: Graph) -> list[int]:
@@ -202,34 +191,19 @@ def caterpillar_strategy(d: int) -> list[int]:
     return [0] + [d + j - 1 for j in range(1, d - 1)]
 
 
-class _SpiderSchedule:
-    """Two-phase leg schedule; one scripted pick per round, then the engine's fallback.
+def _spider_plan(m: int, r: int) -> Iterator[list[int]]:
+    """The two-phase leg schedule, one leg per round, its nodes in pick order.
 
     Phase 1 drains legs ``1..m'`` from the far end inward with halving round
     budgets; phase 2 races the spread down fresh legs ``m'+1..2m'`` from the
     head outward with the budgets reversed.
     """
-
-    def __init__(self, m: int, r: int):
-        m_prime = min(m, _ceil_log2(r + 1))
-        legs = spider_leg_nodes(2 * m, r)
-        plan: list[tuple[list[int], bool]] = []  # (leg nodes, pick farthest?)
-        for i in range(1, m_prime + 1):
-            plan += [(legs[i - 1], True)] * ((r + 1) // 2 ** (m_prime + 1 - i))
-        for i in range(1, m_prime + 1):
-            plan += [(legs[m_prime + i - 1], False)] * ((r + 1) // 2**i)
-        self.plan = plan
-        self.idx = 0
-
-    def __call__(self, g: Graph, cooled: AbstractSet[int], t: int) -> int | None:
-        if self.idx < len(self.plan):
-            leg, farthest = self.plan[self.idx]
-            self.idx += 1
-            candidates = [v for v in leg if v not in cooled]
-            if not candidates:
-                raise StrategyError(f"round {t}: scheduled leg already fully cooled")
-            return candidates[-1] if farthest else candidates[0]
-        return None
+    m_prime = min(m, _ceil_log2(r + 1))
+    legs = spider_leg_nodes(2 * m, r)
+    for i in range(1, m_prime + 1):
+        yield from repeat(legs[i - 1][::-1], (r + 1) // 2 ** (m_prime + 1 - i))
+    for i in range(1, m_prime + 1):
+        yield from repeat(legs[m_prime + i - 1], (r + 1) // 2**i)
 
 
 @dataclass(frozen=True)
@@ -250,7 +224,7 @@ def spider_strategy(m: int, r: int) -> SpiderStrategyResult:
     if r < 1:
         raise StrategyError("spider strategy needs legs of length r >= 1")
     g = gen_spider(2 * m, r)
-    trace = run_cooling(g, _SpiderSchedule(m, r))
+    trace = run_cooling(g, Script(_spider_plan(m, r)))
     return SpiderStrategyResult(trace)
 
 

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+from itertools import repeat
 
 import pytest
 
 from coolnum.corpus import random_connected_graph
 from coolnum.engine import (
     InvalidSourceError,
+    Script,
     read_trace,
     run_burning,
     run_cooling,
@@ -132,10 +134,43 @@ class TestValidateSequence:
             validate_sequence(gen_path(4), [bad])
         assert err.value.node is bad and err.value.round == 1
 
+    @pytest.mark.parametrize("seq, node, round_index", [
+        ([2, 3, -1, 3], 3, 2),  # a repeat in round 2 before a bad id in round 3
+        ([0, 9, 0], 9, 2),  # a bad id in round 2 before a repeat in round 3
+        ([0, "a", 9], "a", 2),  # a non-id in round 2 before a bad id in round 3
+        ([1, 2, 0, 0], 2, 2),  # a node cooled by spread before a later repeat
+    ])
+    def test_first_fault_in_round_order_wins(self, seq, node, round_index):
+        with pytest.raises(InvalidSourceError) as err:
+            validate_sequence(gen_cycle(5), seq)
+        assert (err.value.node, err.value.round) == (node, round_index)
+
     def test_unplayable_tail_rejected(self):
         with pytest.raises(InvalidSourceError) as err:
             validate_sequence(gen_path(2), [0, 1])
         assert "never selected" in str(err.value)
+
+
+class TestScript:
+    def test_picks_the_first_uncooled_candidate_of_each_entry(self):
+        # in round 2, node 1 is round 1's source and 2 is spread to, so 3 is picked
+        trace = run_cooling(gen_path(7), Script([(1,), (1, 2, 3), (6, 4)]))
+        assert trace.sources == (1, 3, 6)
+
+    def test_fallback_once_the_entries_run_out(self):
+        trace = run_cooling(gen_path(7), Script([(6,)]))
+        assert trace.sources == (6, 0, 2)
+
+    def test_entry_with_every_candidate_cooled_is_rejected(self):
+        with pytest.raises(InvalidSourceError, match="^round 2: node 1 is already cooled$") as err:
+            run_cooling(gen_path(7), Script([(1,), (0, 2, 1)]))
+        assert (err.value.node, err.value.round) == (1, 2)
+
+    def test_one_iterator_shared_by_every_round(self):
+        # the skipped nodes stay cooled, so one pass over the order suffices
+        order = [3, 0, 1, 2, 6, 4, 5]
+        trace = run_cooling(gen_path(7), Script(repeat(iter(order))))
+        assert trace.sources == (3, 0, 6)
 
 
 class TestSpreadStep:

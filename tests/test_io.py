@@ -31,6 +31,24 @@ def test_duplicate_edge_deduped_with_warning(tmp_path):
     assert g.num_edges == 1
 
 
+
+def test_duplicates_counted_in_either_orientation(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"n": 4, "edges": [[0, 1], [1, 0], [2, 1], [0, 1], [1, 2], [2, 3]]}')
+    with pytest.warns(UserWarning) as record:
+        g = read_graph(path)
+    assert [str(w.message) for w in record] == [f"{path}: dropped 3 duplicate edge(s)"]
+    assert g == gen_path(4)
+
+
+def test_duplicate_warning_comes_before_a_bad_edge_error(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"n": 3, "edges": [[0, 1], [5, 0], [1, 0], [0, 5]]}')
+    with pytest.warns(UserWarning, match="dropped 2 duplicate edge"):
+        with pytest.raises(GraphError, match=r"^edge \(5, 0\) has an endpoint outside 0..2$"):
+            read_graph(path)
+
+
 @pytest.mark.parametrize("content", [
     "not json",
     "[1, 2]",

@@ -584,6 +584,28 @@ class TestMaxSequenceLength:
             assert max_sequence_length(g).value == brute(g)
 
 
+# burning witnesses of the corpus graphs whose cover replays with a planned
+# center already burned when its round comes
+BURNED_CENTER_WITNESSES = {
+    "cycle-5": [0, 2], "spider-2x2": [0, 2], "spider-3x2": [0, 2], "spider-3x3": [0, 2, 6],
+    "spider-4x2": [0, 2], "spider-5x2": [0, 2], "random-2-n6": [0, 2], "random-20-n7": [0, 4],
+    "random-21-n10": [0, 1], "random-22-n11": [8, 0], "random-25-n9": [0, 2],
+    "random-30-n10": [0, 3], "random-34-n12": [0, 1], "random-38-n10": [0, 2],
+    "random-39-n12": [0, 4], "random-43-n9": [0, 1], "random-46-n7": [0, 2],
+    "random-50-n6": [0, 1], "random-51-n5": [0, 3], "random-59-n10": [0, 2],
+    "random-64-n8": [0, 1], "random-65-n12": [0, 2], "random-69-n9": [0, 1],
+    "random-70-n11": [0, 2], "random-83-n9": [0, 2], "random-84-n9": [0, 2],
+    "random-85-n7": [0, 1], "random-86-n10": [0, 2], "random-93-n7": [0, 4],
+    "random-96-n8": [0, 2], "random-97-n8": [0, 2], "random-98-n7": [0, 2],
+    "random-104-n8": [0, 2], "random-110-n12": [0, 2], "random-116-n5": [0, 3],
+    "random-126-n7": [0, 2], "random-127-n9": [0, 4], "random-132-n6": [0, 3],
+    "random-137-n7": [0, 1], "random-139-n11": [0, 2], "random-141-n10": [0, 4],
+    "random-142-n11": [0, 1], "random-143-n8": [0, 4], "random-144-n11": [0, 1],
+    "random-152-n10": [0, 1], "random-155-n8": [0, 3], "random-156-n6": [0, 1],
+    "random-165-n10": [0, 1],
+}
+
+
 class TestBurningNumber:
     def test_p9(self):
         assert burning_number(gen_path(9)).value == 3
@@ -637,6 +659,13 @@ class TestBurningNumber:
     def test_library_call_honours_env_cap(self, monkeypatch):
         monkeypatch.setenv("COOLNUM_MAX_NODES", "26")
         assert burning_number(gen_path(26)).value == 6
+
+    def test_witness_where_a_planned_center_is_already_burned(self, corpus):
+        # on these graphs some center of the cover is burned before its
+        # round, and the smallest unburned node takes that round instead
+        got = {name: list(burning_number(g).witness.sources)
+               for name, g in corpus if name in BURNED_CENTER_WITNESSES}
+        assert got == BURNED_CENTER_WITNESSES
 
     def test_burning_number_conjecture_over_corpus(self, corpus):
         """``b(G) <= ceil(sqrt(n))`` on every corpus graph.

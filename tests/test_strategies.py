@@ -24,6 +24,7 @@ from coolnum.corpus import random_connected_graph
 from coolnum.graphs import GraphError, bfs_distances, build_graph, diameter
 from coolnum.ilt import ilt_t
 from coolnum.solver import SearchLimits, cooling_number, max_sequence_length
+from coolnum.verify import SPIDER_SHAPES
 from coolnum.strategies import (
     StrategyError,
     caterpillar_strategy,
@@ -267,6 +268,22 @@ class TestCaterpillarStrategy:
             cooling_number(gen_complete_caterpillar(d)).value
 
 
+# the schedule's sources on every shape the spider suite runs
+SPIDER_SOURCES = {
+    (1, 1): [1, 2], (1, 2): [2, 3], (1, 3): [3, 1, 4, 6], (1, 4): [4, 2, 5, 7],
+    (1, 5): [5, 3, 1, 6, 8, 10], (1, 6): [6, 4, 2, 7, 9, 11],
+    (1, 7): [7, 5, 3, 1, 8, 10, 12, 14],
+    (2, 1): [1, 2], (2, 2): [4, 5, 1, 8], (2, 3): [3, 6, 4, 7, 9, 12],
+    (2, 4): [4, 8, 6, 9, 11, 14, 16], (2, 5): [5, 10, 8, 6, 11, 13, 15, 19],
+    (2, 6): [6, 12, 10, 8, 13, 15, 17, 21, 23],
+    (2, 7): [7, 5, 14, 12, 10, 8, 15, 17, 19, 21, 26, 28],
+    (3, 1): [1, 2], (3, 2): [4, 5, 1, 8], (3, 3): [3, 6, 4, 7, 9, 12],
+    (3, 4): [8, 12, 10, 13, 15, 18, 3, 24], (3, 5): [10, 15, 13, 11, 16, 18, 20, 24, 5],
+    (3, 6): [12, 18, 16, 14, 19, 21, 23, 27, 4, 6, 36],
+    (3, 7): [7, 14, 12, 21, 19, 17, 15, 22, 24, 26, 28, 33, 35, 42],
+}
+
+
 class TestSpiderStrategy:
     def test_tight_on_two_legs(self):
         res = spider_strategy(1, 3)  # isomorphic to P7
@@ -285,6 +302,12 @@ class TestSpiderStrategy:
                 res = spider_strategy(m, r)
                 lo = 2 * sum((r + 1) // 2**i for i in range(1, m + 1))
                 assert res.trace.num_rounds >= lo, (m, r)
+
+    def test_source_sequences_pinned(self):
+        # phase 1 takes each drained leg's farthest uncooled node, phase 2
+        # each raced leg's nearest one; the engine's fallback picks the rest
+        assert {shape: list(spider_strategy(*shape).trace.sources)
+                for shape in SPIDER_SHAPES} == SPIDER_SOURCES
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(StrategyError):

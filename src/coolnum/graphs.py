@@ -51,6 +51,14 @@ class Graph:
     Adjacency is stored per node as a sorted tuple of neighbor ids. Instances
     are immutable after construction and safe to share across threads and
     processes.
+
+    Every occurrence of node ``v`` in ``adj`` is one and the same int object.
+    CPython shares only the ints -5..256, so a build that computed each
+    entry afresh would hold one object per edge end, and a set probe such
+    as ``w in cooled`` would find an equal key that is a different object
+    and fall through from the identity test to a compare. Both builders,
+    :func:`build_graph` and ``generators.gen_grid``, take every entry from
+    one list of the ids made per call.
     """
 
     n: int
@@ -122,19 +130,25 @@ class Graph:
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a validated graph from an edge list.
 
-    Endpoints must lie in ``0..n-1`` and differ; duplicate edges (in either
-    orientation) collapse to a single edge. Connectivity is not required.
+    Endpoints must be ``int``s in ``0..n-1`` and differ; duplicate edges (in
+    either orientation) collapse to a single edge. Connectivity is not
+    required. The neighbour sets hold ``ids[v]``, not the endpoint itself, so
+    that each id is one object however the edge list made its ints.
     """
     if n < 0:
         raise GraphError(f"node count must be nonnegative, got {n}")
-    nbrs: list[set[int]] = [set() for _ in range(n)]
+    ids = list(range(n))
+    nbrs: list[set[int]] = [set() for _ in ids]
     for u, v in edges:
+        # a bool or a float is no node id, even where it equals one
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(f"edge ({u!r}, {v!r}) has an endpoint that is not an int")
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             raise GraphError(f"self-loop at node {u}")
-        nbrs[u].add(v)
-        nbrs[v].add(u)
+        nbrs[u].add(ids[v])
+        nbrs[v].add(ids[u])
     return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
 
 

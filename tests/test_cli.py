@@ -238,10 +238,12 @@ class TestPinnedOutput:
     """Exact stdout, stderr and exit code of every ``--help`` and of the error
     exits raised inside the command layers, recorded from the CLI before
     those layers were imported lazily, and of the search flags the solver
-    commands no longer take, and the ``bounds`` report of three paths: one
+    commands no longer take, the ``bounds`` report of three paths: one
     with every bound, one above the profile cap and one above the burning
-    cap too. ``{p30}``, ``{p21}`` and ``{p5}`` stand for files of the paths
-    on 30, 21 and 5 nodes."""
+    cap too, and two ``strategy`` runs. ``{p30}``, ``{p21}`` and ``{p5}``
+    stand for files of the paths on 30, 21 and 5 nodes, and ``{g20}`` for
+    a file of the 20 x 20 grid, whose ids above 256 come out of the JSON
+    reader."""
 
     PINS = json.loads((Path(__file__).parent / "cli_pins.json").read_text())
 
@@ -250,9 +252,10 @@ class TestPinnedOutput:
         monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
         monkeypatch.delenv("COOLNUM_MAX_NODES", raising=False)
         files = {}
-        for name, n in (("p30", 30), ("p21", 21), ("p5", 5)):
+        for name, g in (("p30", gen_path(30)), ("p21", gen_path(21)), ("p5", gen_path(5)),
+                        ("g20", gen_grid(20))):
             files[name] = str(tmp_path / f"{name}.json")
-            write_graph(gen_path(n), files[name])
+            write_graph(g, files[name])
         argv = [arg.format(**files) for arg in pin["argv"]]
         assert run_cli(*argv) == (pin["code"], pin["out"], pin["err"])
 

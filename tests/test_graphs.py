@@ -19,6 +19,7 @@ from coolnum.generators import (
     grid_coord,
     grid_node,
 )
+from coolnum.graph_io import read_graph, write_graph
 from coolnum.graphs import (
     UNREACHABLE,
     DisconnectedGraphError,
@@ -128,6 +129,15 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(4, [(2, 2)])
 
+    @pytest.mark.parametrize("edge,shown", [
+        ((True, 0), "(True, 0)"), ((0, 1.0), "(0, 1.0)"), ((0, "1"), "(0, '1')"),
+    ], ids=["bool", "float", "str"])
+    def test_non_int_endpoint_rejected(self, edge, shown):
+        # True equals node 1 and 1.0 equals node 1, but neither is a node id
+        with pytest.raises(GraphError) as err:
+            build_graph(2, [edge])
+        assert str(err.value) == f"edge {shown} has an endpoint that is not an int"
+
     def test_adjacency_symmetric_and_sorted(self):
         g = build_graph(5, [(3, 1), (4, 0), (1, 0), (2, 4)])
         for u in range(g.n):
@@ -226,7 +236,7 @@ class TestGenerators:
         assert g.n == 9 and g.num_edges == 12
 
     def test_grid_matches_edge_list(self):
-        for n in range(1, 41):
+        for n in range(1, 61):
             edges = [(v, v + 1) for v in range(n * n) if v % n < n - 1]
             edges += [(v, v + n) for v in range(n * n - n)]
             assert gen_grid(n) == build_graph(n * n, edges), n
@@ -288,6 +298,37 @@ class TestGenerators:
         for g in (gen_path(6), gen_cycle(9), gen_grid(4),
                   gen_complete_caterpillar(5), gen_spider(4, 2)):
             assert sum(g.degree(v) for v in range(g.n)) == 2 * g.num_edges
+
+
+def objects_and_ids(g):
+    """How many int objects, and how many distinct ids, occur in ``g.adj``."""
+    return len({id(w) for nbrs in g.adj for w in nbrs}), len({w for nbrs in g.adj for w in nbrs})
+
+
+class TestOneObjectPerId:
+    """Each node id occurs in ``adj`` as one int object. The graphs have ids
+    above 256, which CPython does not share on its own."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_grid(17), lambda: gen_grid(40), lambda: gen_path(600), lambda: gen_cycle(600),
+        lambda: gen_spider(3, 100), lambda: gen_complete_caterpillar(300),
+        lambda: ilt_t(gen_path(150), 2).graph,
+        lambda: random_connected_graph(random.Random(7), 400, 0.005),
+        lambda: build_graph(500, [(int(str(v)), int(str(v + 1))) for v in range(499)]),
+    ], ids=["grid17", "grid40", "path600", "cycle600", "spider3x100", "caterpillar300",
+            "ilt-path150-t2", "random400", "fresh-ints"])
+    def test_builders(self, make):
+        g = make()
+        assert g.n > 257
+        objects, ids = objects_and_ids(g)
+        assert objects == ids
+
+    def test_read_graph(self, tmp_path):
+        path = tmp_path / "g20.json"
+        write_graph(gen_grid(20), path)
+        g = read_graph(path)
+        assert g == gen_grid(20)
+        assert objects_and_ids(g) == (400, 400)
 
 
 class TestGridCoords:

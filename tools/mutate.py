@@ -4,7 +4,8 @@ Each mutant replaces one exact snippet of one module under ``src/coolnum``
 (a single token or operand where possible): the cooling search's key,
 carried vector, pruning rules, memo bounds, first probe and witness walk
 and the burning search's radius order in ``solver.py``, the orbit
-reduction in ``graphs.py``, the grid's index arithmetic in
+reduction and ``build_graph``'s endpoint check and shared id objects in
+``graphs.py``, the grid's index arithmetic and shared id objects in
 ``generators.py``, the scripted pick and fallback of the round engine in
 ``engine.py``, and the bounds report's diameter, profile readout and
 recurrence step in ``bounds.py``. It does so in a throwaway copy of the
@@ -42,7 +43,7 @@ PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
          "tests/test_acceptance.py", "tests/test_bounds.py"]
-TIMEOUT_S = 300  # the eight files take about 12 s on a 2-core machine
+TIMEOUT_S = 300  # the eight files take about 10 s on a 2-core machine; the gate, 3.5 min
 
 
 @dataclass(frozen=True)
@@ -123,11 +124,17 @@ MUTANTS = [
     Mutant("automorphism-any-permutation",
            "return perm if all(masks[perm[u]] >> perm[v] & 1 for u, v in edges) else None",
            "return perm", module="graphs.py"),
-    # the grid: each row's interior neighbours come from column ranges, its
-    # end cells are built by hand, and an anti-diagonal steps by n - 1
-    Mutant("grid-right-start", "range(a + 2, b + 1)", "range(a + 1, b + 1)", module="generators.py"),
-    Mutant("grid-last-column-down", "(b + n,) * down", "(b + n - 1,) * down",
+    # build_graph stores one object per id, and takes only ints as endpoints
+    Mutant("build-graph-fresh-ids", "nbrs[u].add(ids[v])", "nbrs[u].add(v)", module="graphs.py"),
+    Mutant("build-graph-no-type-check", "if type(u) is not int or type(v) is not int:",
+           "if False:", module="graphs.py"),
+    # the grid: each row's interior neighbours come from column slices of
+    # one id list, its end cells are built by hand from that list too, and
+    # an anti-diagonal steps by n - 1
+    Mutant("grid-right-start", "ids[a + 2:b + 1]", "ids[a + 1:b + 1]", module="generators.py"),
+    Mutant("grid-last-column-down", "last.append(ids[b + n])", "last.append(ids[b + n - 1])",
            module="generators.py"),
+    Mutant("grid-fresh-ids", "ids[a:b - 1]", "range(a, b - 1)", module="generators.py"),
     Mutant("diagonal-step", "step = n - 1", "step = n", module="generators.py"),
     # a scripted pick and the engine's fallback skip the cooled nodes, not
     # the uncooled ones, and an entry whose candidates are all cooled is

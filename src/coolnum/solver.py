@@ -60,7 +60,15 @@ solver-free enumeration of every run.
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
 around some choice of centers cover every node, and any such cover replays
-into a valid run of exactly ``k`` rounds.
+into a valid run of exactly ``k`` rounds. Its one bound is ball capacity:
+no ball of radius ``r`` holds more than ``most[r]``, the largest radius-``r``
+ball of the graph, so a state whose uncovered nodes outnumber the sum of
+``most[r]`` over its unused radii holds no cover and fails at once, and the
+deepening starts at the first ``k`` whose radii ``k-1..0`` can hold all
+``n`` nodes. Both cut only subtrees and round counts without a cover, and
+the DFS visits the rest in the same order, so its first cover, the value
+and the witness are those of the unpruned search; the test suite checks
+this against that search.
 """
 
 from __future__ import annotations
@@ -106,7 +114,9 @@ class SearchStats:
     ``ecc_cuts`` counts children skipped by the eccentricity bound and
     ``counting_cuts`` the calls the counting bound failed without
     expanding. All four are 0 for burning, whose ``memo_hits`` counts its
-    failed-cover cache hits."""
+    failed-cover cache hits and ``capacity_cuts`` the cover states failed
+    because their unused radii cannot hold the uncovered nodes; that one is
+    0 for the cooling-side searches."""
 
     expanded: int
     memo_hits: int
@@ -115,6 +125,7 @@ class SearchStats:
     ecc_cuts: int = 0
     counting_cuts: int = 0
     probes: int = 0
+    capacity_cuts: int = 0
 
 
 @dataclass(frozen=True)
@@ -337,57 +348,75 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
 
     Deepens over the target round count ``k``, testing ball-cover feasibility
     with radii ``k-1..0`` by DFS over (uncovered set, unused radii) states,
-    then replays the first cover found through the engine.
+    then replays the first cover found through the engine. The DFS covers
+    the lowest uncovered node first, by the largest unused radius first and
+    each radius's centers in id order. It fails a state whose uncovered
+    nodes outnumber what its unused radii's largest balls hold together, and
+    the deepening starts at the first ``k`` whose radii can hold ``n`` nodes:
+    neither cut holds a cover, so the first cover found is the unpruned
+    search's. ``stats.capacity_cuts`` counts the states the capacity test
+    failed.
     """
     start, deadline = _prepare(g, limits, DEFAULT_BURNING_MAX_NODES)
     n = g.n
     full = (1 << n) - 1
-    dist = g.distances
     balls = g.balls  # radii past the diameter; b <= diameter + 1 bounds every k tried
-    expanded = 0
-    cache_hits = 0
+    # most[r]: the most nodes one ball of radius r holds
+    most = [max(map(int.bit_count, col)) for col in zip(*balls)]
+    expanded = cache_hits = capacity_cuts = 0
+    failed: set[tuple[int, tuple[int, ...]]] = set()
 
-    for k in range(1, n + 1):
-        failed: set[tuple[int, tuple[int, ...]]] = set()
-
-        def cover(covered: int, radii: tuple[int, ...]) -> list[tuple[int, int]] | None:
-            nonlocal expanded, cache_hits
-            if covered == full:
-                return []
-            if not radii:
-                return None
-            key = (covered, radii)
-            if key in failed:
-                cache_hits += 1
-                return None
-            expanded += 1
-            if deadline is not None and expanded % 1024 == 1:
-                if time.monotonic() > deadline:
-                    raise TimeBudgetExceededError("search exceeded its time budget")
-            # lowest uncovered node; some remaining ball must cover it, so
-            # branching over (radius, center) pairs reaching it is complete
-            rem = full ^ covered
-            u = (rem & -rem).bit_length() - 1
-            for i, r in enumerate(radii):
-                rest = radii[:i] + radii[i + 1 :]
-                for c in range(n):
-                    if dist[c][u] <= r:
-                        sub = cover(covered | balls[c][r], rest)
-                        if sub is not None:
-                            return [(r, c)] + sub
-            failed.add(key)
+    def cover(covered: int, radii: tuple[int, ...], room: int) -> list[tuple[int, int]] | None:
+        """The first cover, as (radius, center) pairs, of the nodes outside
+        ``covered`` by balls of ``radii``, which hold at most ``room`` nodes."""
+        nonlocal expanded, cache_hits, capacity_cuts
+        if covered == full:
+            return []
+        rem = full ^ covered
+        if rem.bit_count() > room:  # room is 0 once no radius is left
+            capacity_cuts += 1
             return None
+        key = (covered, radii)
+        if key in failed:
+            cache_hits += 1
+            return None
+        expanded += 1
+        if deadline is not None and expanded % 1024 == 1:
+            if time.monotonic() > deadline:
+                raise TimeBudgetExceededError("search exceeded its time budget")
+        # lowest uncovered node u; some remaining ball must cover it, so
+        # branching over the (radius, center) pairs reaching it is complete.
+        # A center reaches u when it lies in u's ball, in increasing id order
+        near = balls[(rem & -rem).bit_length() - 1]
+        for i, r in enumerate(radii):
+            rest = radii[:i] + radii[i + 1 :]
+            left = room - most[r]
+            centers = near[r]
+            while centers:
+                low = centers & -centers
+                centers ^= low
+                c = low.bit_length() - 1
+                sub = cover(covered | balls[c][r], rest, left)
+                if sub is not None:
+                    return [(r, c)] + sub
+        failed.add(key)
+        return None
 
-        assignment = cover(0, tuple(range(k - 1, -1, -1)))
-        if assignment is None:
-            continue
-        planned = [c for _, c in sorted(assignment, key=lambda rc: -rc[0])]
-        # each round plays its planned center, else the smallest unburned
-        # node: a planned center that is already burned has its ball burned
-        # anyway, so any other pick keeps the cover
-        trace = run_burning(g, Script((c, *range(n)) for c in planned))
-        if trace.num_rounds != k:
-            raise AssertionError(f"cover replay gave {trace.num_rounds} rounds, expected {k}")
-        return SearchResult(k, trace, SearchStats(expanded, cache_hits, time.monotonic() - start))
-    raise AssertionError("unreachable: every connected graph burns within n rounds")
-
+    # no k below the first whose radii k-1..0 can hold n nodes has a cover
+    k = room = 0
+    while room < n:
+        room += most[k]
+        k += 1
+    while (assignment := cover(0, tuple(range(k - 1, -1, -1)), room)) is None:
+        room += most[k]
+        k += 1
+        failed.clear()
+    planned = [c for _, c in sorted(assignment, key=lambda rc: -rc[0])]
+    # each round plays its planned center, else the smallest unburned
+    # node: a planned center that is already burned has its ball burned
+    # anyway, so any other pick keeps the cover
+    trace = run_burning(g, Script((c, *range(n)) for c in planned))
+    if trace.num_rounds != k:
+        raise AssertionError(f"cover replay gave {trace.num_rounds} rounds, expected {k}")
+    return SearchResult(k, trace, SearchStats(expanded, cache_hits, time.monotonic() - start,
+                                              capacity_cuts=capacity_cuts))

@@ -12,6 +12,7 @@ from coolnum.bounds import (
     iso_upper_bound,
 )
 from coolnum.corpus import build_corpus
+from coolnum.engine import Script, run_burning
 from coolnum.graphs import Graph, GraphTooLargeError, diameter
 from coolnum.solver import burning_number, cooling_number
 
@@ -90,6 +91,49 @@ def first_optimal_sequence(g: Graph, sources: bool) -> tuple[int, list[int]]:
     scored = [(len(seq) if sources else rounds, seq) for rounds, seq in runs]
     best = max(score for score, _ in scored)
     return best, min(seq for score, seq in scored if score == best)
+
+
+def unpruned_burning(g: Graph) -> tuple[int, list[int]]:
+    """``b(G)`` and the witness sources of the unpruned ball-cover search.
+
+    This is the search ``burning_number`` ran before its capacity bound,
+    kept as that bound's reference. It deepens over the round count ``k``
+    from 1; for each ``k`` a DFS covers the lowest uncovered node by every
+    unused radius, the largest first, and every center within that radius
+    of it, scanned in id order over the distance table, with a cache of the
+    ``(covered, radii)`` states that failed. The first cover replays through
+    the engine with the smallest unburned node standing in for a planned
+    center that is already burned, as ``burning_number``'s does.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    dist = g.distances
+    balls = g.balls
+    for k in range(1, n + 1):
+        failed: set[tuple[int, tuple[int, ...]]] = set()
+
+        def cover(covered: int, radii: tuple[int, ...]) -> list[tuple[int, int]] | None:
+            if covered == full:
+                return []
+            if not radii or (covered, radii) in failed:
+                return None
+            rem = full ^ covered
+            u = (rem & -rem).bit_length() - 1
+            for i, r in enumerate(radii):
+                rest = radii[:i] + radii[i + 1:]
+                for c in range(n):
+                    if dist[c][u] <= r:
+                        sub = cover(covered | balls[c][r], rest)
+                        if sub is not None:
+                            return [(r, c)] + sub
+            failed.add((covered, radii))
+            return None
+
+        assignment = cover(0, tuple(range(k - 1, -1, -1)))
+        if assignment is not None:
+            planned = [c for _, c in sorted(assignment, key=lambda rc: -rc[0])]
+            return k, list(run_burning(g, Script((c, *range(n)) for c in planned)).sources)
+    raise AssertionError("every connected graph burns within n rounds")
 
 
 def within_by_scan(g: Graph, mask: int, r: int) -> bool:
@@ -186,6 +230,12 @@ def first_optimal():
 def composed():
     """The bounds report from its parts, :func:`composed_report`."""
     return composed_report
+
+
+@pytest.fixture(scope="session")
+def unpruned_burn():
+    """The burning search without its capacity bound, :func:`unpruned_burning`."""
+    return unpruned_burning
 
 
 @pytest.fixture(scope="session")

@@ -43,6 +43,12 @@ def test_solvers_and_witnesses_match_the_oracles(atlas, oracle, first_optimal):
             assert (res.value, list(res.witness.sources)) == first_optimal(g, sources), i
 
 
+def test_burning_matches_the_unpruned_search(atlas, unpruned_burn):
+    for i, g in atlas:
+        res = burning_number(g)
+        assert (res.value, list(res.witness.sources)) == unpruned_burn(g), i
+
+
 def test_bounds_report_matches_its_parts(atlas, composed):
     for i, g in atlas:
         assert bounds_report(g) == composed(g), i

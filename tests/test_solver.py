@@ -368,21 +368,28 @@ class TestPinnedWork:
         assert (res.value, res.stats.expanded) == (21, 20)
 
     # the cover search tries the largest ball first, so its first cover, the
-    # witness, and its work depend on the radius order
+    # witness, and its work depend on the radius order; its work also
+    # depends on the capacity bound and on the first round count it tries
     @pytest.mark.parametrize("graph, pinned", [
-        (gen_path(9), (3, (2, 6, 8), 16, 4)),
-        (gen_grid(4), (4, (0, 2, 15, 13), 80, 9)),
-        (gen_cycle(8), (3, (0, 3, 5), 10, 0)),
-    ], ids=["path9", "grid4", "cycle8"])
+        (gen_path(9), (3, (2, 6, 8), 3, 0)),
+        (gen_grid(4), (4, (0, 2, 15, 13), 17, 0)),
+        (gen_cycle(8), (3, (0, 3, 5), 3, 0)),
+        (gen_grid(10), (6, (13, 68, 70, 94, 9, 29), 11673, 10303)),
+    ], ids=["path9", "grid4", "cycle8", "grid10"])
     def test_burning_witness_and_work(self, graph, pinned):
-        res = burning_number(graph)
+        res = burning_number(graph, SearchLimits(max_nodes=graph.n))
         assert (res.value, res.witness.sources, res.stats.expanded, res.stats.memo_hits) == pinned
 
     def test_cuts_are_zero_without_pruning_and_for_burning(self):
         stats = cooling_number(gen_cycle(9), prune=False).stats
-        assert (stats.ecc_cuts, stats.counting_cuts) == (0, 0)
+        assert (stats.ecc_cuts, stats.counting_cuts, stats.capacity_cuts) == (0, 0, 0)
+        stats = cooling_number(gen_cycle(9)).stats
+        assert stats.capacity_cuts == 0
+        stats = max_sequence_length(gen_grid(4)).stats
+        assert stats.capacity_cuts == 0
         stats = burning_number(gen_grid(4)).stats
-        assert (stats.roots, stats.ecc_cuts, stats.counting_cuts) == (0, 0, 0)
+        assert (stats.roots, stats.ecc_cuts, stats.counting_cuts, stats.capacity_cuts) == (
+            0, 0, 0, 80)
 
 
 def ecc_by_bfs(g, mask):
@@ -666,6 +673,27 @@ class TestBurningNumber:
         got = {name: list(burning_number(g).witness.sources)
                for name, g in corpus if name in BURNED_CENTER_WITNESSES}
         assert got == BURNED_CENTER_WITNESSES
+
+    def test_same_cover_as_the_unpruned_search(self, corpus, unpruned_burn):
+        """The capacity bound and the later start cut no cover, so value and
+        witness are the unpruned search's, on the corpus and on seeded random
+        graphs of up to 24 nodes, the default cap."""
+        rng = random.Random(23)
+        graphs = list(corpus)
+        for i in range(40):
+            n, p = rng.randrange(8, 25), rng.choice((0.0, 0.1, 0.3))
+            graphs.append((f"random-{i}", random_connected_graph(rng, n, p)))
+        for name, g in graphs:
+            res = burning_number(g)
+            assert (res.value, list(res.witness.sources)) == unpruned_burn(g), name
+
+    @pytest.mark.parametrize("gen, low", [(gen_path, 1), (gen_cycle, 3)], ids=["path", "cycle"])
+    def test_paths_and_cycles_burn_in_ceil_sqrt_n(self, gen, low):
+        """``b(P_n) = b(C_n) = ceil(sqrt(n))`` (Bonato, Janssen and Roshanbin,
+        "How to burn a graph", 2016), up to 100 nodes."""
+        limits = SearchLimits(max_nodes=100)
+        for n in range(low, 101):
+            assert burning_number(gen(n), limits).value == math.isqrt(n - 1) + 1, n
 
     def test_burning_number_conjecture_over_corpus(self, corpus):
         """``b(G) <= ceil(sqrt(n))`` on every corpus graph.

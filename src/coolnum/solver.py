@@ -30,10 +30,22 @@ child that keeps the optimum, the lexicographically first optimal run.
 Pruning is restricted to bounds that cannot cut a branch that reaches the
 threshold, so every memo bound stays exact:
 
-* from a state with ``u`` nodes outside its key at most ``u // 2 + 1``
-  rounds and ``(u - 1) // 2 + 1`` sources remain, since every round that
-  picks a source and does not end the run adds the source and at least one
-  more node to the key; a call above that count fails without expanding;
+* from a key of ``a`` nodes at most ``most[a]`` rounds or sources remain,
+  the paper's isoperimetric recurrence ``x_{i+1} = x_i + phi(x_i) + 1``
+  with the vertex connectivity ``kappa`` (:attr:`Graph.connectivity`) as
+  the floor ``phi(c) = min(kappa, n - c)``. The round that cools the key
+  picks a source and leaves a boundary ``C`` of ``c = a + 1`` nodes. If
+  ``N[C]`` misses a node, its border ``N[C] - C`` separates ``C`` from
+  that node and so holds at least ``kappa`` nodes; either way the child's
+  key ``N[C]`` holds at least ``c + min(kappa, n - c)`` nodes. So
+  ``most[a] = 1 + most[c + min(kappa, n - c)]`` for a boundary that is
+  not full, while a full one ends the run, one round and one source, and
+  a full key gains one round and no source. The table never rises with
+  ``a``, so the entry of the least child key bounds every larger one. A
+  call above ``most[a]`` fails without expanding; at the root, key ``0``,
+  that cuts a probe above ``most[0]``. At ``kappa = 1`` the table is the
+  counting bound, ``u // 2 + 1`` rounds and ``(u - 1) // 2 + 1`` sources
+  with ``u`` nodes outside the key;
 * at most ``ecc(C)`` rounds remain from cooled set ``C``, since spread alone
   reaches every node within ``ecc(C)`` rounds and sources only accelerate;
 * at most ``ecc(C) - 1`` sources remain from a cooled set ``C`` that is not
@@ -76,6 +88,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+from functools import cache
 from operator import or_
 
 from .engine import CoolingTrace, Script, run_burning, validate_sequence
@@ -112,8 +125,9 @@ class SearchStats:
     sources they ran, one per automorphism orbit found among the listed
     ones, and ``probes`` the thresholds tried at the empty boundary.
     ``ecc_cuts`` counts children skipped by the eccentricity bound and
-    ``counting_cuts`` the calls the counting bound failed without
-    expanding. All four are 0 for burning, whose ``memo_hits`` counts its
+    ``counting_cuts`` the calls the gain table failed without expanding;
+    the table is the counting bound where the vertex connectivity is 1.
+    All four are 0 for burning, whose ``memo_hits`` counts its
     failed-cover cache hits and ``capacity_cuts`` the cover states failed
     because their unused radii cannot hold the uncovered nodes; that one is
     0 for the cooling-side searches."""
@@ -141,6 +155,19 @@ _ROUNDS = 0
 _SOURCES = 1
 
 
+@cache
+def _gains(n: int, kappa: int, objective: int) -> tuple[int, ...]:
+    """``most[a]``: the most rounds, or sources, that a run can still gain
+    from a key of ``a`` nodes on a connected graph of ``n`` nodes and vertex
+    connectivity ``kappa`` (the module docstring proves it). Built once per
+    ``(n, kappa, objective)``."""
+    most = [1] * n + [1 if objective == _ROUNDS else 0]
+    for a in range(n - 2, -1, -1):
+        c = a + 1
+        most[a] = 1 + most[c + min(kappa, n - c)]
+    return tuple(most)
+
+
 class _MaxSearch:
     """Shared threshold search for the most rounds or the most sources."""
 
@@ -158,6 +185,8 @@ class _MaxSearch:
         # more: at most ecc rounds, or ecc - 1 sources, remain from it
         self.slack = 0 if objective == _ROUNDS else 1
         self.prune = prune
+        # the unpruned reference cuts nothing, so it needs no connectivity
+        self.most = _gains(g.n, g.connectivity, objective) if prune else ()
         self.deadline = deadline
         # per post-spread set: the objective is at least lo and at most hi,
         # and choice is the lowest-id child that reaches lo
@@ -187,16 +216,14 @@ class _MaxSearch:
         if not lo < t <= hi:
             self.memo_hits += 1
             return t <= lo
-        full = self.full
-        u = (full ^ key).bit_count()
-        counting = u // 2 if self.objective == _ROUNDS else (u - 1) // 2
-        if self.prune and t > counting + 1:
+        if self.prune and t > self.most[key.bit_count()]:
             self.counting_cuts += 1
             return False
         self.expanded += 1
         if self.deadline is not None and self.expanded % 64 == 1:
             if time.monotonic() > self.deadline:
                 raise TimeBudgetExceededError("search exceeded its time budget")
+        full = self.full
         rem = full ^ key if key else self.first
         balls = self.balls
         # a starred display allocates the tuple at its length; tuple(map(...))

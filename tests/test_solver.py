@@ -137,6 +137,25 @@ class TestCoolingNumber:
                     # lowest-id tie-break is prune-independent
                     assert a.witness == b.witness, (solve.__name__, g.adj)
 
+    def test_no_prune_matches_on_dense_graphs(self):
+        # the gain table cuts by the vertex connectivity, which is 1 on most
+        # corpus graphs; these dense random graphs reach 9
+        rng = random.Random(59)
+        kappas = set()
+        for _ in range(40):
+            g = random_connected_graph(rng, rng.randrange(8, 13), rng.choice([0.5, 0.7, 0.9]))
+            kappas.add(g.connectivity)
+            for solve in (cooling_number, max_sequence_length):
+                a = solve(g)
+                b = solve(g, prune=False)
+                assert (a.value, a.witness) == (b.value, b.witness), (solve.__name__, g.adj)
+        assert max(kappas) >= 6 and {3, 4, 5} <= kappas
+
+    def test_cycles(self):
+        limits = SearchLimits(max_nodes=60)
+        for n in range(3, 61):
+            assert cooling_number(gen_cycle(n), limits).value == (n + 4) // 3, n
+
     def test_brute_force_agreement_on_tiny_graphs(self):
         # independent oracle: plain DFS over frozensets of cooled nodes,
         # no bitmasks, no memo, no pruning
@@ -300,17 +319,26 @@ class TestPinnedWork:
 
     def test_grid5(self):
         stats = cooling_number(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (31, 226, 11)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (24, 194, 22)
 
     def test_cycle24(self):
         stats = cooling_number(gen_cycle(24), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (112, 918, 148)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (8, 0, 4)
+
+    def test_cycle60(self):
+        # 52,959 states when the counting bound alone cut calls; at
+        # connectivity 2 the table's root entry is the cycle's value, so
+        # every probe above it is cut at the root
+        res = cooling_number(gen_cycle(60), SearchLimits(max_nodes=60))
+        s = res.stats
+        assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == (
+            21, 20, 0, 0, 10)
 
     @pytest.mark.parametrize("solve, graph, pinned", [
-        (cooling_number, gen_grid(6), (8, 207, 410, 2813, 21)),
-        (max_sequence_length, gen_grid(6), (8, 45, 37, 540, 0)),
+        (cooling_number, gen_grid(6), (8, 194, 235, 2744, 200)),
+        (max_sequence_length, gen_grid(6), (8, 43, 16, 531, 23)),
         (cooling_number, gen_spider(4, 4), (7, 95, 75, 148, 450)),
-        (max_sequence_length, gen_cycle(18), (6, 53, 29, 292, 0)),
+        (max_sequence_length, gen_cycle(18), (6, 6, 0, 0, 3)),
     ], ids=["grid6", "seqlen-grid6", "spider-4x4", "seqlen-cycle18"])
     def test_search_workload_instances(self, solve, graph, pinned):
         res = solve(graph, SearchLimits(max_nodes=36))
@@ -320,7 +348,7 @@ class TestPinnedWork:
     # deep instances, thousands of states each; a spider with unequal legs
     # has no automorphism, so the orbit reduction does not shrink it
     @pytest.mark.parametrize("graph, pinned, witness", [
-        (gen_grid(8), (11, 5305, 27113, 118072, 138), [0, 2, 4, 6, 15, 29, 43, 57, 60, 62]),
+        (gen_grid(8), (11, 5283, 25999, 117965, 1258), [0, 2, 4, 6, 15, 29, 43, 57, 60, 62]),
         (spider_with_legs(5, 6, 7, 8, 9), (14, 21170, 45809, 196412, 145807),
          [11, 18, 16, 14, 5, 3, 1, 20, 22, 24, 26, 32, 34]),
         (seeded_tree_60(), (14, 4403, 49595, 73985, 1599),
@@ -347,7 +375,7 @@ class TestPinnedWork:
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (20, 181, 0)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (19, 175, 2)
 
     def test_seqlen_spider_4x4(self):
         # the source count's counting cut fails calls here; one looser on
@@ -744,8 +772,8 @@ class TestOrbitReduction:
         assert burning_number(gen_cycle(12)).stats.roots == 0
 
     def test_fewer_states_than_all_roots(self):
-        g = gen_cycle(16)
-        # CL = 6 stays below min(d + 1, n // 2 + 1) = 9, so no cut ends the first round early
+        g = gen_spider(3, 4)
+        # CL = 6 stays below min(d + 1, n // 2 + 1) = 7, so no cut ends the first round early
         search = solver._MaxSearch(g, solver._ROUNDS, True, None)
         search.solve(search.full)
         assert cooling_number(g).stats.expanded < search.expanded
@@ -788,6 +816,53 @@ class TestFirstRound:
                     if value == bound(u):
                         met.add(u)
             assert met >= set(range(1, 11)), objective
+
+
+class TestGainTable:
+    """``solver._gains``: the most rounds or sources a run can still gain
+    from a key of each size, at the graph's vertex connectivity."""
+
+    def test_connectivity_one_is_the_counting_bound(self):
+        for n in range(1, 41):
+            rounds = solver._gains(n, 1, solver._ROUNDS)
+            sources = solver._gains(n, 1, solver._SOURCES)
+            for a in range(n + 1):
+                u = n - a
+                assert (rounds[a], sources[a]) == (u // 2 + 1, (u - 1) // 2 + 1), (n, a)
+
+    def test_never_rises(self):
+        # so the entry of the least key a child can have bounds every larger one
+        for n in range(1, 41):
+            for kappa in range(n):
+                for objective in (solver._ROUNDS, solver._SOURCES):
+                    most = solver._gains(n, kappa, objective)
+                    assert len(most) == n + 1
+                    assert all(a >= b for a, b in zip(most, most[1:])), (n, kappa, objective)
+
+    def test_sound_on_every_memo_state_and_met(self, corpus):
+        """Every memo state of the unpruned search, its value taken from an
+        unpruned threshold ladder, stays within the table at its graph's
+        connectivity; at each connectivity 1 to 4 some state below ``n - 1``
+        nodes meets it for each objective, so the table is reached there,
+        not only an upper bound."""
+        rng = random.Random(83)
+        graphs = [g for _, g in corpus if g.n <= 10]
+        graphs += [gen_cycle(n) for n in range(5, 13)] + [complete_graph(n) for n in range(2, 8)]
+        graphs += [random_connected_graph(rng, rng.randrange(7, 10), rng.choice([0.5, 0.7]))
+                   for _ in range(20)]
+        met = set()
+        for g in graphs:
+            for objective in (solver._ROUNDS, solver._SOURCES):
+                most = solver._gains(g.n, g.connectivity, objective)
+                search = solver._MaxSearch(g, objective, False, None)
+                search.solve(search.full)
+                for key in list(search.memo):
+                    value = ladder_value(search, g, key)
+                    a = key.bit_count()
+                    assert value <= most[a], (g.adj, objective, key)
+                    if value == most[a] and a < g.n - 1:
+                        met.add((g.connectivity, objective))
+        assert met >= {(k, obj) for k in range(1, 5) for obj in (solver._ROUNDS, solver._SOURCES)}
 
 
 class TestBoundsDuringSearch:

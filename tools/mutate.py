@@ -2,10 +2,11 @@
 
 Each mutant replaces one exact snippet of one module under ``src/coolnum``
 (a single token or operand where possible): the cooling search's key,
-carried vector, pruning rules, memo bounds, first probe and witness walk
-and the burning search's radius order, capacity bound and first round
-count in ``solver.py``, the orbit reduction and ``build_graph``'s
-endpoint check and shared id objects in ``graphs.py``, the grid's index
+carried vector, gain table and other pruning rules, memo bounds, first
+probe and witness walk and the burning search's radius order, capacity
+bound and first round count in ``solver.py``, the orbit reduction, the
+vertex connectivity and ``build_graph``'s endpoint check and shared id
+objects in ``graphs.py``, the grid's index
 arithmetic and shared id objects in ``generators.py``, the scripted pick
 and fallback of the round engine in ``engine.py``, and the bounds
 report's diameter, profile readout and recurrence step in ``bounds.py``. It does so in a throwaway copy of the
@@ -43,7 +44,7 @@ PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
          "tests/test_acceptance.py", "tests/test_bounds.py"]
-TIMEOUT_S = 300  # the eight files take about 10 s on a 2-core machine; the gate, 5 min
+TIMEOUT_S = 300  # the eight files take about 19 s on a 2-core machine; the gate, 5 min
 
 
 @dataclass(frozen=True)
@@ -67,19 +68,27 @@ MUTANTS = [
     # the first round: the empty boundary branches on the listed first
     # sources, and counts every node as uncooled
     Mutant("root-mask-ignored", "rem = full ^ key if key else self.first", "rem = full ^ key"),
-    Mutant("root-count-mask", "u = (full ^ key).bit_count()",
-           "u = (full ^ key if key else self.first).bit_count()"),
+    Mutant("root-count-mask", "self.most[key.bit_count()]",
+           "self.most[(key or self.full ^ self.first).bit_count()]"),
     # the first probe: the order and diameter caps, one lower skips the
     # optimum wherever a cap is met; the unpruned reference starts at n, so
     # that it tests the caps instead of assuming them
     Mutant("probe-below-cap", "value = start\n", "value = start - 1\n"),
     Mutant("reference-keeps-caps", "if not self.prune:\n", "if False:\n"),
-    # counting bound
-    Mutant("counting-rounds", "counting = u // 2 if", "counting = (u - 1) // 2 if"),
-    Mutant("counting-rounds-loose", "counting = u // 2 if", "counting = (u + 1) // 2 if"),
-    Mutant("counting-sources", "else (u - 1) // 2", "else u // 2 - 1"),
-    Mutant("counting-sources-loose", "else (u - 1) // 2", "else u // 2"),
-    Mutant("counting-threshold", "t > counting + 1", "t >= counting + 1"),
+    # the gain table: a child's key grows by min(kappa, n - c) past its
+    # boundary, a full key gains one round and no source, and a call fails
+    # only above the table
+    Mutant("table-kappa-plus-one", "most[c + min(kappa, n - c)]\n",
+           "most[c + min(kappa + 1, n - c)]\n"),
+    Mutant("table-sources-end", "[1 if objective == _ROUNDS else 0]",
+           "[1 if objective == _ROUNDS else 1]"),
+    Mutant("table-threshold", "t > self.most[", "t >= self.most["),
+    # the vertex connectivity the table reads: the local connectivities can
+    # lower it below the least degree, and each counts its last path
+    Mutant("kappa-least-degree", "best = _local_connectivity(adj, x, y, best)", "best = best",
+           module="graphs.py"),
+    Mutant("kappa-path-short", "for paths in range(len(common), limit):",
+           "for paths in range(len(common), limit - 1):", module="graphs.py"),
     # the carried vector: a child's radius j is its parent's radius j + 1,
     # in the search and on the witness walk
     Mutant("vector-shift", "near = (*map(or_, up[1:], ball[1:]),)",

@@ -53,20 +53,26 @@ threshold, so every memo bound stays exact:
   exactly that many, the spread of its last round already cools every
   remaining node, so that round picks no source.
 
-The eccentricity bounds are tested once per child, at a radius fixed for
-the whole call: a child whose every node lies within ``r = t - 2`` hops
-(rounds) or ``r = t - 1`` hops (sources) cannot reach ``t - 1`` more, so it
-is skipped. Each state carries its vector ``near``: ``near[j]`` is the set
-of nodes within ``j`` hops of its key ``K``, so ``near[0]`` is ``K`` and
-``near[1]`` is ``N[K]``. The child boundary is ``K | {s}``, so a child is
-skipped when ``near[r]`` ORed with the radius-``r`` ball of ``s``
-(:attr:`Graph.balls`) is every node. The child's own vector is
-``near[j + 1] | balls[s][j + 1]``, one ``map`` over at most ``d + 1`` ints
-whose entry 0 is the child's key; it depends only on that key, so the
-memo stays sound, and it is formed only when the child is expanded. At
-``t = 1`` every child succeeds, a full boundary too, so the test starts
-at ``t = 2``. Every bound and both caps are cross-checked against
-unpruned search in the test suite, and the caps also against a
+The eccentricity bounds cut children at a radius fixed for the whole call:
+a child whose every node lies within ``r = t - 2`` hops (rounds) or
+``r = t - 1`` hops (sources) cannot reach ``t - 1`` more, so it is skipped.
+Each state carries its vector ``near``: ``near[j]`` is the set of nodes
+within ``j`` hops of its key ``K``, so ``near[0]`` is ``K`` and ``near[1]``
+is ``N[K]``. The child boundary is ``K | {s}``, so a child is skipped when
+``near[r]`` ORed with the radius-``r`` ball of ``s`` (:attr:`Graph.balls`)
+is every node, that is when ``s`` lies within ``r`` hops of every node
+``u`` outside ``near[r]``. Hop distance is symmetric, so ``s`` lies in
+``u``'s ``r``-ball exactly when ``u`` lies in ``s``'s: the cut children are
+the AND of the ``r``-balls of the nodes outside ``near[r]``, formed once per
+expanded state, one AND per such node until it is empty, and the child loop
+visits only the rest, still in id order. ``ecc_cuts`` counts the cut
+children that loop would have met before it returned. The child's own
+vector is ``near[j + 1] | balls[s][j + 1]``, one ``map`` over at most
+``d + 1`` ints whose entry 0 is the child's key; it depends only on that
+key, so the memo stays sound, and it is formed only when the child is
+expanded. At ``t = 1`` every child succeeds, a full boundary too, so the
+cut starts at ``t = 2``. Every bound and both caps are cross-checked
+against unpruned search in the test suite, and the caps also against a
 solver-free enumeration of every run.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
@@ -110,7 +116,9 @@ class SearchLimits:
 
     ``max_nodes=None`` selects the ``COOLNUM_MAX_NODES`` environment
     variable if set, else the per-solver default (20 for cooling-side
-    searches, 24 for burning).
+    searches, 24 for burning). A cap must be a positive ``int`` and a time
+    budget a non-negative ``int`` or ``float``, neither a bool; the solvers
+    raise ``ValueError`` otherwise.
     """
 
     max_nodes: int | None = None
@@ -232,27 +240,38 @@ class _MaxSearch:
         # per length (about 2 MB of resident memory)
         near = (*map(or_, up[1:], ball[1:]),)
         # the child boundary key | {s} is within r hops of every node exactly
-        # when near[r] | balls[s][r] is full; at t = 1 every child succeeds.
-        # The vector drops one radius a level, so a key k sources deep keeps
-        # radii 0..d + 1 - k; the probe starts at the caps, min(d + 1, ...)
-        # rounds and min(d, ...) sources, so r stays below d - k, inside it
-        ecc = self.prune and t >= 2
-        r = t - 2 + self.slack
-        reach = near[r] if ecc else 0
+        # when near[r] | balls[s][r] is full, that is when s lies in the
+        # r-ball of every node u outside near[r], as hop distance is
+        # symmetric: so the AND of those balls over rem is the set of cut
+        # children. At t = 1 every child succeeds. The vector drops one
+        # radius a level, so a key k sources deep keeps radii 0..d + 1 - k;
+        # the probe starts at the caps, min(d + 1, ...) rounds and
+        # min(d, ...) sources, so r stays below d - k, inside it
+        cut = 0
+        if self.prune and t >= 2:
+            r = t - 2 + self.slack
+            far = full ^ near[r]
+            cut = rem
+            while far and cut:
+                low = far & -far
+                far ^= low
+                cut &= balls[low.bit_length() - 1][r]
+            rem ^= cut
         while rem:
             low = rem & -rem
             rem ^= low
             i = low.bit_length() - 1
-            ball = balls[i]
-            if ecc and (reach | ball[r]) == full:
-                self.ecc_cuts += 1
-                continue
             # a full boundary ends the run in this round, so it reaches t = 1
             # only; its key would be full too, which at_least reads as a
             # boundary one round short of the end
-            if t == 1 or key | low != full and self.at_least(t - 1, near, ball):
+            if t == 1 or key | low != full and self.at_least(t - 1, near, balls[i]):
+                # of the cut children, an id-order walk meets those below i
+                if cut:
+                    self.ecc_cuts += (cut & (low - 1)).bit_count()
                 self.memo[key] = (t, hi, i)
                 return True
+        if cut:
+            self.ecc_cuts += cut.bit_count()
         self.memo[key] = (lo, t - 1, choice)
         return False
 
@@ -297,11 +316,14 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> tuple[f
             cap = default_cap if raw is None else int(raw)
         except ValueError:
             raise ValueError(f"COOLNUM_MAX_NODES must be an integer, got {raw!r}") from None
-    if cap < 1:  # no graph fits, so this is a usage error, not an over-limit input
-        raise ValueError(f"node cap must be a positive integer, got {cap}")
+    # a cap below 1 fits no graph, so this is a usage error, not an over-limit
+    # input; a bool or a float is no cap, as a bool is no node id
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"node cap must be a positive integer, got {cap!r}")
     budget = limits.time_budget
-    if budget is not None and not budget >= 0:  # also catches NaN
-        raise ValueError(f"time budget must be a non-negative number of seconds, got {budget}")
+    if budget is not None and (type(budget) is bool or not isinstance(budget, (int, float))
+                               or not budget >= 0):  # the last also catches NaN
+        raise ValueError(f"time budget must be a non-negative number of seconds, got {budget!r}")
     if g.n > cap:
         raise GraphTooLargeError(g.n, cap)
     if g.n < 1:

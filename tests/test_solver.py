@@ -212,18 +212,22 @@ class TestCoolingNumber:
         with pytest.raises(ValueError, match="COOLNUM_MAX_NODES"):
             burning_number(gen_path(5))
 
-    @pytest.mark.parametrize("cap", [-3, 0])
+    @pytest.mark.parametrize("cap", [-3, 0, True, 2.5, "20"])
     def test_cap_below_one_refused(self, cap, monkeypatch):
-        want = f"^node cap must be a positive integer, got {cap}$"
-        with pytest.raises(ValueError, match=want) as err:
-            cooling_number(gen_path(5), SearchLimits(max_nodes=cap))
-        assert not isinstance(err.value, GraphTooLargeError)
-        with pytest.raises(ValueError, match=want):
-            burning_number(gen_path(5), SearchLimits(max_nodes=cap))
-        monkeypatch.setenv("COOLNUM_MAX_NODES", str(cap))
-        with pytest.raises(ValueError, match=want) as err:
-            max_sequence_length(gen_path(5))
-        assert not isinstance(err.value, GraphTooLargeError)
+        # a cap that is not an int is refused too, a bool included, as a
+        # bool is no node id; before, True and 2.5 were taken as caps and a
+        # string escaped as a raw TypeError
+        want = f"^node cap must be a positive integer, got {cap!r}$"
+        for solve in (cooling_number, max_sequence_length, burning_number):
+            with pytest.raises(ValueError, match=want) as err:
+                solve(gen_path(5), SearchLimits(max_nodes=cap))
+            assert not isinstance(err.value, GraphTooLargeError)
+        if type(cap) is int:
+            monkeypatch.setenv("COOLNUM_MAX_NODES", str(cap))
+            for solve in (cooling_number, max_sequence_length, burning_number):
+                with pytest.raises(ValueError, match=want) as err:
+                    solve(gen_path(5))
+                assert not isinstance(err.value, GraphTooLargeError)
 
     def test_explicit_cap_beats_env_cap(self, monkeypatch):
         monkeypatch.setenv("COOLNUM_MAX_NODES", "5")
@@ -243,14 +247,14 @@ class TestCoolingNumber:
             with pytest.raises(TimeBudgetExceededError):
                 solve(gen_path(n), SearchLimits(time_budget=0))
 
-    @pytest.mark.parametrize("budget", [float("nan"), -1])
+    @pytest.mark.parametrize("budget", [float("nan"), -1, True, "1"])
     def test_nan_or_negative_time_budget_refused(self, budget):
-        want = f"^time budget must be a non-negative number of seconds, got {budget}$"
+        # a bool or a string is no number of seconds either
+        want = f"^time budget must be a non-negative number of seconds, got {budget!r}$"
         for g in (gen_cycle(24), gen_path(18)):
-            with pytest.raises(ValueError, match=want):
-                cooling_number(g, SearchLimits(max_nodes=40, time_budget=budget))
-        with pytest.raises(ValueError, match=want):
-            burning_number(gen_path(5), SearchLimits(time_budget=budget))
+            for solve in (cooling_number, max_sequence_length, burning_number):
+                with pytest.raises(ValueError, match=want):
+                    solve(g, SearchLimits(max_nodes=40, time_budget=budget))
 
     def test_cycle_symmetry_restriction_matches_full_search(self):
         for n in (5, 8, 11):
@@ -356,6 +360,17 @@ class TestPinnedWork:
     ], ids=["grid8", "spider-legs-5-9", "random-tree-60"])
     def test_deep_instances(self, graph, pinned, witness):
         res = cooling_number(graph, SearchLimits(max_nodes=graph.n))
+        s = res.stats
+        assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
+        assert list(res.witness.sources) == witness
+
+    @pytest.mark.parametrize("graph, pinned, witness", [
+        (gen_grid(8), (11, 534, 1312, 14515, 61), [0, 2, 4, 19, 7, 41, 56, 58, 46, 61, 63]),
+        (spider_with_legs(5, 6, 7, 8, 9), (14, 10793, 19511, 111974, 67956),
+         [26, 24, 11, 9, 5, 3, 1, 12, 14, 16, 18, 31, 33, 35]),
+    ], ids=["grid8", "spider-legs-5-9"])
+    def test_deep_instances_sources(self, graph, pinned, witness):
+        res = max_sequence_length(graph, SearchLimits(max_nodes=graph.n))
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
         assert list(res.witness.sources) == witness
@@ -490,6 +505,31 @@ def test_child_test_by_ball_union_matches_scan(corpus, within_scan):
                     child = key | 1 << s
                     assert ((near[r] | g.balls[s][r]) == full) == within_scan(g, child, r), \
                         (g.adj, key, s, r)
+
+
+def test_cut_mask_matches_the_per_child_test(corpus):
+    """The set of children the search cuts at radius ``r``, the AND over the
+    nodes ``u`` outside ``near[r]`` of ``u``'s radius-``r`` ball, restricted
+    to the nodes outside the key, is the set of children ``s`` with
+    ``near[r] | ball(s, r) == full``: hop distance is symmetric. Checked on
+    every vector the search carries, the empty boundary's included, at every
+    radius it holds up to the diameter."""
+    graphs = [g for _, g in corpus] + [gen_grid(6), gen_cycle(24)]
+    partial = 0  # masks that cut some children but not all
+    for g in graphs:
+        full, d, balls = (1 << g.n) - 1, diameter(g), g.balls
+        for near in search_states(g):
+            children = full ^ near[0]
+            for r in range(min(len(near), d + 1)):
+                cut = children
+                for u in range(g.n):
+                    if not near[r] >> u & 1:
+                        cut &= balls[u][r]
+                tested = sum(1 << s for s in range(g.n)
+                             if children >> s & 1 and near[r] | balls[s][r] == full)
+                assert cut == tested, (g.adj, near[0], r)
+                partial += 0 < cut != children
+    assert partial > 1000
 
 
 def test_each_state_carries_the_bfs_reach_of_its_key(corpus):

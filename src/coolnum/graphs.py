@@ -225,7 +225,14 @@ def diameter(g: Graph) -> int:
 
 def diameter_and_lowest_end(g: Graph) -> tuple[int, int]:
     """The diameter, and the lowest id among the diametral ends (the nodes
-    whose eccentricity equals the diameter).
+    whose eccentricity equals the diameter), by :func:`diameter_sweep`."""
+    return diameter_sweep(g)[:2]
+
+
+def diameter_sweep(g: Graph) -> tuple[int, int, int, list[int]]:
+    """The diameter, the lowest diametral end, and the far end ``a`` of the
+    double sweep from node 0, the lowest node farthest from 0, with the
+    distances from ``a``.
 
     iFUB (Crescenzi, Grossi, Habib, Lanzi and Marino, 2013). A 4-sweep (a
     double sweep from node 0, then one from the node it shows as most
@@ -248,6 +255,9 @@ def diameter_and_lowest_end(g: Graph) -> tuple[int, int]:
     about the same eccentricity: a vertex-transitive one, such as a cycle,
     BFS's about ``n / 2`` fringe nodes, and a random graph of diameter 6 to
     8 up to nearly all ``n``.
+
+    Only the row from ``a`` is returned: keeping every row would cost
+    ``n`` lists of ``n`` on a graph that BFS's nearly every node.
 
     Raises :class:`DisconnectedGraphError` on disconnected input.
     """
@@ -287,7 +297,8 @@ def diameter_and_lowest_end(g: Graph) -> tuple[int, int]:
             break
         if w not in visited:
             visit(w)
-    return lb, end
+    a = sweeps[0].index(max(sweeps[0]))
+    return lb, end, a, sweeps[a]
 
 
 def _local_connectivity(adj: tuple[tuple[int, ...], ...], x: int, y: int, limit: int) -> int:

@@ -46,6 +46,15 @@ threshold, so every memo bound stays exact:
   that cuts a probe above ``most[0]``. At ``kappa = 1`` the table is the
   counting bound, ``u // 2 + 1`` rounds and ``(u - 1) // 2 + 1`` sources
   with ``u`` nodes outside the key;
+* the table is also read along the state's spread: ``near[j]``, the nodes
+  within ``j`` hops of key ``K`` (below), is what spread alone cools in
+  ``j`` more rounds, and sources only add to it. So a run from ``K`` that
+  lasts at least ``j`` more rounds has a key holding ``near[j]`` ``j``
+  rounds later, and at most ``j + most[|near[j]|]`` rounds or sources
+  remain; a run that ends sooner gains fewer than ``j``. A call at ``t``
+  fails once the vector is formed, before any child is visited, when
+  ``t - j > most[|near[j]|]`` for some ``j`` from 1 to ``t - 1`` that the
+  vector holds;
 * at most ``ecc(C)`` rounds remain from cooled set ``C``, since spread alone
   reaches every node within ``ecc(C)`` rounds and sources only accelerate;
 * at most ``ecc(C) - 1`` sources remain from a cooled set ``C`` that is not
@@ -69,11 +78,11 @@ visits only the rest, still in id order. ``ecc_cuts`` counts the cut
 children that loop would have met before it returned. The child's own
 vector is ``near[j + 1] | balls[s][j + 1]``, one ``map`` over at most
 ``d + 1`` ints whose entry 0 is the child's key; it depends only on that
-key, so the memo stays sound, and it is formed only when the child is
-expanded. At ``t = 1`` every child succeeds, a full boundary too, so the
-cut starts at ``t = 2``. Every bound and both caps are cross-checked
-against unpruned search in the test suite, and the caps also against a
-solver-free enumeration of every run.
+key, so the memo stays sound, and it is formed only when the child passes
+the memo and the table's test on the size of its key. At ``t = 1`` every
+child succeeds, a full boundary too, so the cut starts at ``t = 2``. Every
+bound and both caps are cross-checked against unpruned search in the test
+suite, and the caps also against a solver-free enumeration of every run.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -133,8 +142,11 @@ class SearchStats:
     sources they ran, one per automorphism orbit found among the listed
     ones, and ``probes`` the thresholds tried at the empty boundary.
     ``ecc_cuts`` counts children skipped by the eccentricity bound and
-    ``counting_cuts`` the calls the gain table failed without expanding;
-    the table is the counting bound where the vertex connectivity is 1.
+    ``counting_cuts`` the calls the gain table failed, by the size of the
+    key or along its spread; the table is the counting bound where the
+    vertex connectivity is 1. A call failed along the spread forms the
+    state's vector but visits no child, so it counts there and not in
+    ``expanded``.
     All four are 0 for burning, whose ``memo_hits`` counts its
     failed-cover cache hits and ``capacity_cuts`` the cover states failed
     because their unused radii cannot hold the uncovered nodes; that one is
@@ -212,7 +224,8 @@ class _MaxSearch:
         boundary that is not full; its vector ``near[j] = up[j + 1] | ball[j + 1]``,
         the nodes within ``j`` hops of ``key``, comes from its parent's vector
         ``up`` and its source's balls ``ball``, and is formed only if the
-        state is expanded. The empty boundary, key 0, has ``self.empty`` for both."""
+        state passes the memo and the table's test on the size of its key.
+        The empty boundary, key 0, has ``self.empty`` for both."""
         if t <= 0:
             return True
         key = up[1] | ball[1]
@@ -227,6 +240,20 @@ class _MaxSearch:
         if self.prune and t > self.most[key.bit_count()]:
             self.counting_cuts += 1
             return False
+        # a starred display allocates the tuple at its length; tuple(map(...))
+        # allocates 10 entries and resizes, so each freed vector lands on a
+        # free list it was not taken from, which grows to 2,000 spare tuples
+        # per length (about 2 MB of resident memory)
+        near = (*map(or_, up[1:], ball[1:]),)
+        if self.prune:
+            # a run that lasts j more rounds has a key holding near[j] by
+            # then, so at most j + most[|near[j]|] remain
+            most = self.most
+            for j in range(1, min(t, len(near))):
+                if t - j > most[near[j].bit_count()]:
+                    self.counting_cuts += 1
+                    self.memo[key] = (lo, t - 1, choice)
+                    return False
         self.expanded += 1
         if self.deadline is not None and self.expanded % 64 == 1:
             if time.monotonic() > self.deadline:
@@ -234,11 +261,6 @@ class _MaxSearch:
         full = self.full
         rem = full ^ key if key else self.first
         balls = self.balls
-        # a starred display allocates the tuple at its length; tuple(map(...))
-        # allocates 10 entries and resizes, so each freed vector lands on a
-        # free list it was not taken from, which grows to 2,000 spare tuples
-        # per length (about 2 MB of resident memory)
-        near = (*map(or_, up[1:], ball[1:]),)
         # the child boundary key | {s} is within r hops of every node exactly
         # when near[r] | balls[s][r] is full, that is when s lies in the
         # r-ball of every node u outside near[r], as hop distance is

@@ -27,7 +27,7 @@ from .generators import (
     simplicial_order,
     spider_leg_nodes,
 )
-from .graphs import Graph, GraphError, StrategyError, bfs_distances, diameter_and_lowest_end
+from .graphs import Graph, GraphError, StrategyError, bfs_distances, diameter_sweep
 from .ilt import IltGraph, ilt_t
 
 
@@ -143,11 +143,9 @@ def _diametral_path(g: Graph) -> list[int]:
     sweep from node 0 when they are the diameter apart. When the sweep falls
     short, the path runs from the lowest diametral end ``a`` to the lowest
     node at the diameter from ``a``: the first pair a scan of the nodes in id
-    order would find."""
-    d, lowest_end = diameter_and_lowest_end(g)
-    dist0 = bfs_distances(g, 0)
-    a = dist0.index(max(dist0))
-    dist_a = bfs_distances(g, a)
+    order would find. The sweep's far end and its row come from
+    :func:`diameter_sweep`."""
+    d, lowest_end, a, dist_a = diameter_sweep(g)
     b = dist_a.index(max(dist_a))
     if dist_a[b] != d:
         a = lowest_end

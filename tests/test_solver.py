@@ -3,7 +3,8 @@ from __future__ import annotations
 import math
 import random
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 import pytest
 
@@ -323,7 +324,7 @@ class TestPinnedWork:
 
     def test_grid5(self):
         stats = cooling_number(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (24, 194, 22)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (11, 37, 17)
 
     def test_cycle24(self):
         stats = cooling_number(gen_cycle(24), self.LIMITS).stats
@@ -339,9 +340,9 @@ class TestPinnedWork:
             21, 20, 0, 0, 10)
 
     @pytest.mark.parametrize("solve, graph, pinned", [
-        (cooling_number, gen_grid(6), (8, 194, 235, 2744, 200)),
-        (max_sequence_length, gen_grid(6), (8, 43, 16, 531, 23)),
-        (cooling_number, gen_spider(4, 4), (7, 95, 75, 148, 450)),
+        (cooling_number, gen_grid(6), (8, 28, 27, 279, 87)),
+        (max_sequence_length, gen_grid(6), (8, 19, 5, 141, 17)),
+        (cooling_number, gen_spider(4, 4), (7, 74, 75, 82, 405)),
         (max_sequence_length, gen_cycle(18), (6, 6, 0, 0, 3)),
     ], ids=["grid6", "seqlen-grid6", "spider-4x4", "seqlen-cycle18"])
     def test_search_workload_instances(self, solve, graph, pinned):
@@ -349,15 +350,20 @@ class TestPinnedWork:
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
 
-    # deep instances, thousands of states each; a spider with unequal legs
-    # has no automorphism, so the orbit reduction does not shrink it
+    # instances that the eccentricity cut and the table read at the key's
+    # size alone leave deep, 4,400 to 98,000 states each; a spider with
+    # unequal legs has no automorphism, so the orbit reduction does not
+    # shrink it
     @pytest.mark.parametrize("graph, pinned, witness", [
-        (gen_grid(8), (11, 5283, 25999, 117965, 1258), [0, 2, 4, 6, 15, 29, 43, 57, 60, 62]),
-        (spider_with_legs(5, 6, 7, 8, 9), (14, 21170, 45809, 196412, 145807),
+        (gen_grid(8), (11, 581, 3900, 12157, 1689), [0, 2, 4, 6, 15, 29, 43, 57, 60, 62]),
+        (gen_grid(10), (15, 1880, 17891, 60713, 5103),
+         [0, 2, 4, 23, 41, 8, 62, 80, 91, 57, 76, 95, 79, 98]),
+        (spider_with_legs(5, 6, 7, 8, 9), (14, 1714, 8101, 11772, 14661),
          [11, 18, 16, 14, 5, 3, 1, 20, 22, 24, 26, 32, 34]),
-        (seeded_tree_60(), (14, 4403, 49595, 73985, 1599),
-         [11, 0, 6, 14, 9, 7, 1, 5, 3, 12, 29, 47, 26]),
-    ], ids=["grid8", "spider-legs-5-9", "random-tree-60"])
+        (spider_with_legs(3, 4, 5, 6, 7, 8, 9), (15, 2439, 20971, 11720, 18129),
+         [25, 33, 31, 7, 28, 3, 1, 8, 10, 12, 16, 18, 39, 41]),
+        (seeded_tree_60(), (14, 14, 0, 79, 12), [11, 0, 6, 14, 9, 7, 1, 5, 3, 12, 29, 47, 26]),
+    ], ids=["grid8", "grid10", "spider-legs-5-9", "spider-legs-3-9", "random-tree-60"])
     def test_deep_instances(self, graph, pinned, witness):
         res = cooling_number(graph, SearchLimits(max_nodes=graph.n))
         s = res.stats
@@ -365,10 +371,12 @@ class TestPinnedWork:
         assert list(res.witness.sources) == witness
 
     @pytest.mark.parametrize("graph, pinned, witness", [
-        (gen_grid(8), (11, 534, 1312, 14515, 61), [0, 2, 4, 19, 7, 41, 56, 58, 46, 61, 63]),
-        (spider_with_legs(5, 6, 7, 8, 9), (14, 10793, 19511, 111974, 67956),
+        (gen_grid(8), (11, 84, 141, 1684, 135), [0, 2, 4, 19, 7, 41, 56, 58, 46, 61, 63]),
+        (gen_grid(10), (14, 1591, 9256, 62262, 2827),
+         [0, 2, 4, 6, 25, 9, 53, 71, 90, 92, 94, 78, 97, 99]),
+        (spider_with_legs(5, 6, 7, 8, 9), (14, 1673, 6181, 18118, 10272),
          [26, 24, 11, 9, 5, 3, 1, 12, 14, 16, 18, 31, 33, 35]),
-    ], ids=["grid8", "spider-legs-5-9"])
+    ], ids=["grid8", "grid10", "spider-legs-5-9"])
     def test_deep_instances_sources(self, graph, pinned, witness):
         res = max_sequence_length(graph, SearchLimits(max_nodes=graph.n))
         s = res.stats
@@ -390,15 +398,15 @@ class TestPinnedWork:
 
     def test_seqlen_grid5(self):
         stats = max_sequence_length(gen_grid(5), self.LIMITS).stats
-        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (19, 175, 2)
+        assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (9, 29, 5)
 
     def test_seqlen_spider_4x4(self):
         # the source count's counting cut fails calls here; one looser on
-        # even u, (u - 1) // 2 read as u // 2, would double the work
+        # even u, (u - 1) // 2 read as u // 2, would nearly double the work
         res = max_sequence_length(gen_spider(4, 4), self.LIMITS)
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == (
-            7, 49, 9, 132, 186)
+            7, 37, 9, 84, 162)
 
     def test_seqlen_search_pool_graph_10(self):
         # 85,883 states when the source count was capped by counting alone
@@ -879,30 +887,54 @@ class TestGainTable:
                     assert len(most) == n + 1
                     assert all(a >= b for a, b in zip(most, most[1:])), (n, kappa, objective)
 
-    def test_sound_on_every_memo_state_and_met(self, corpus):
-        """Every memo state of the unpruned search, its value taken from an
-        unpruned threshold ladder, stays within the table at its graph's
-        connectivity; at each connectivity 1 to 4 some state below ``n - 1``
-        nodes meets it for each objective, so the table is reached there,
-        not only an upper bound."""
+    @staticmethod
+    def memo_states(corpus):
+        """``(graph, objective, table, key, value)`` for every memo state of
+        the unpruned search, both objectives, on the corpus graphs of up to 10
+        nodes, cycles, complete graphs and dense random graphs; each value is
+        taken from an unpruned threshold ladder."""
         rng = random.Random(83)
         graphs = [g for _, g in corpus if g.n <= 10]
         graphs += [gen_cycle(n) for n in range(5, 13)] + [complete_graph(n) for n in range(2, 8)]
         graphs += [random_connected_graph(rng, rng.randrange(7, 10), rng.choice([0.5, 0.7]))
                    for _ in range(20)]
-        met = set()
         for g in graphs:
             for objective in (solver._ROUNDS, solver._SOURCES):
                 most = solver._gains(g.n, g.connectivity, objective)
                 search = solver._MaxSearch(g, objective, False, None)
                 search.solve(search.full)
                 for key in list(search.memo):
-                    value = ladder_value(search, g, key)
-                    a = key.bit_count()
-                    assert value <= most[a], (g.adj, objective, key)
-                    if value == most[a] and a < g.n - 1:
-                        met.add((g.connectivity, objective))
+                    yield g, objective, most, key, ladder_value(search, g, key)
+
+    def test_sound_on_every_memo_state_and_met(self, corpus):
+        """Every memo state stays within the table at its graph's
+        connectivity; at each connectivity 1 to 4 some state below ``n - 1``
+        nodes meets it for each objective, so the table is reached there,
+        not only an upper bound."""
+        met = set()
+        for g, objective, most, key, value in self.memo_states(corpus):
+            a = key.bit_count()
+            assert value <= most[a], (g.adj, objective, key)
+            if value == most[a] and a < g.n - 1:
+                met.add((g.connectivity, objective))
         assert met >= {(k, obj) for k in range(1, 5) for obj in (solver._ROUNDS, solver._SOURCES)}
+
+    def test_sound_along_the_spread_and_sharper(self, corpus):
+        """Every memo state ``K`` gains at most ``j + most[|near_j(K)|]`` for
+        each radius ``j``, where ``near_j(K)``, the union of the radius-``j``
+        balls of ``K``'s nodes, is the set spread alone cools in ``j`` more
+        rounds: a run that lasts ``j`` more has a key holding it by then. For
+        each objective some state has this bound below ``most[|K|]``, so it
+        cuts calls that the key's size alone does not."""
+        sharper = set()
+        for g, objective, most, key, value in self.memo_states(corpus):
+            members = [g.balls[v] for v in range(g.n) if key >> v & 1]
+            bounds = [j + most[reduce(or_, (ball[j] for ball in members), 0).bit_count()]
+                      for j in range(1, len(g.balls[0]))]
+            assert value <= min(bounds), (g.adj, objective, key, bounds)
+            if min(bounds) < most[key.bit_count()]:
+                sharper.add(objective)
+        assert sharper == {solver._ROUNDS, solver._SOURCES}
 
 
 class TestBoundsDuringSearch:

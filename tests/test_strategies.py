@@ -243,11 +243,25 @@ class TestPinnedWork:
 
     def test_path_diameter_strategy_on_path_1200(self, bfs_runs):
         assert path_diameter_strategy(gen_path(1200)) == list(range(0, 1200, 2))
-        assert len(bfs_runs) == 5
+        assert len(bfs_runs) == 3
 
     def test_path_diameter_strategy_on_grid_24(self, bfs_runs):
         assert len(path_diameter_strategy(gen_grid(24))) == 24
-        assert len(bfs_runs) == 9
+        assert len(bfs_runs) == 7
+
+    def test_path_diameter_reuses_the_double_sweep(self, bfs_runs, corpus):
+        """The path takes the double sweep's far end and its row from the
+        diameter's sweep, so it BFS's once more only where the sweep falls
+        short: from the lowest diametral end."""
+        sparse = [random_connected_graph(random.Random(31_000 + i), 500, 0.0008) for i in (4, 7)]
+        for g in [g for _, g in corpus] + sparse + [gen_path(1200)]:
+            misses = double_sweep_misses(g)
+            bfs_runs.clear()
+            diameter(g)
+            sweep = len(bfs_runs)
+            bfs_runs.clear()
+            path_diameter_strategy(g)
+            assert len(bfs_runs) == sweep + misses, g.adj
 
     def test_diameter_of_cycle_600(self, bfs_runs):
         assert diameter(gen_cycle(600)) == 300

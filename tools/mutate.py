@@ -2,10 +2,10 @@
 
 Each mutant replaces one exact snippet of one module under ``src/coolnum``
 (a single token or operand where possible): the cooling search's key,
-carried vector, gain table, eccentricity cut mask and its count, the other
-pruning rules, memo bounds, first probe and witness walk and the burning
-search's radius order, capacity bound and first round count in
-``solver.py``, the orbit reduction, the vertex connectivity and
+carried vector, gain table and its reading along that vector, eccentricity
+cut mask and its count, the other pruning rules, memo bounds, first probe
+and witness walk and the burning search's radius order, capacity bound
+and first round count in ``solver.py``, the orbit reduction, the vertex connectivity and
 ``build_graph``'s endpoint check and shared id objects in ``graphs.py``,
 the grid's index arithmetic and shared id objects in ``generators.py``, the
 scripted pick and fallback of the round engine in ``engine.py``, and the
@@ -45,7 +45,7 @@ PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
          "tests/test_acceptance.py", "tests/test_bounds.py"]
-TIMEOUT_S = 300  # the eight files take about 17 s on a 2-core machine; the 56 mutants, 4.5 min
+TIMEOUT_S = 300  # the eight files take about 15 s on a 2-core machine; the 60 mutants, 4 min
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,18 @@ MUTANTS = [
     Mutant("table-sources-end", "[1 if objective == _ROUNDS else 0]",
            "[1 if objective == _ROUNDS else 1]"),
     Mutant("table-threshold", "t > self.most[", "t >= self.most["),
+    # the table read along the carried vector: a run that lasts j more rounds
+    # holds near[j], not near[j + 1], by then, a call fails only above
+    # j + most[|near[j]|], and the j rounds it takes count in full (the
+    # third under-cuts, so only the work pins see it); a failed call is
+    # stored like a failure after expanding
+    Mutant("spread-radius-plus-one", "t - j > most[near[j].bit_count()]",
+           "t - j > most[near[j + 1].bit_count()]"),
+    Mutant("spread-threshold", "t - j > most[near[j]", "t - j >= most[near[j]"),
+    Mutant("spread-need-low", "t - j > most[near[j]", "t - j - 1 > most[near[j]"),
+    Mutant("spread-failure-not-stored",
+           "self.counting_cuts += 1\n                    self.memo[key] = (lo, t - 1, choice)",
+           "self.counting_cuts += 1"),
     # the vertex connectivity the table reads: the local connectivities can
     # lower it below the least degree, and each counts its last path
     Mutant("kappa-least-degree", "best = _local_connectivity(adj, x, y, best)", "best = best",
@@ -116,10 +128,10 @@ MUTANTS = [
            "self.slack = 1 if objective == _ROUNDS else 1"),
     # the memo's bounds and the choice that witnesses lo
     Mutant("memo-success-swapped", "self.memo[key] = (t, hi, i)", "self.memo[key] = (hi, t, i)"),
-    Mutant("memo-failure-swapped", "self.memo[key] = (lo, t - 1, choice)",
-           "self.memo[key] = (t - 1, lo, choice)"),
-    Mutant("memo-failure-drops-choice", "self.memo[key] = (lo, t - 1, choice)",
-           "self.memo[key] = (lo, t - 1, -1)"),
+    Mutant("memo-failure-swapped", "cut.bit_count()\n        self.memo[key] = (lo, t - 1, choice)",
+           "cut.bit_count()\n        self.memo[key] = (t - 1, lo, choice)"),
+    Mutant("memo-failure-drops-choice", "cut.bit_count()\n        self.memo[key] = (lo, t - 1, choice)",
+           "cut.bit_count()\n        self.memo[key] = (lo, t - 1, -1)"),
     # the witness walk
     Mutant("walk-need-kept", "need -= 1", "need -= 0"),
     Mutant("walk-lo-at-least-need", "[0] != need:", "[0] < need:",

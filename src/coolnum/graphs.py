@@ -217,16 +217,10 @@ def eccentricity(g: Graph, v: int) -> int:
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all node pairs.
 
-    Computed by :func:`diameter_and_lowest_end` (iFUB). Raises
+    Computed by :func:`diameter_sweep` (iFUB). Raises
     :class:`DisconnectedGraphError` on disconnected input.
     """
-    return diameter_and_lowest_end(g)[0]
-
-
-def diameter_and_lowest_end(g: Graph) -> tuple[int, int]:
-    """The diameter, and the lowest id among the diametral ends (the nodes
-    whose eccentricity equals the diameter), by :func:`diameter_sweep`."""
-    return diameter_sweep(g)[:2]
+    return diameter_sweep(g)[0]
 
 
 def diameter_sweep(g: Graph) -> tuple[int, int, int, list[int]]:

@@ -21,58 +21,60 @@ The root is probed down from the paper's caps on a whole run,
 ``min(diameter + 1, floor(n/2) + 1)`` rounds and ``min(diameter,
 ceil(n/2))`` sources, until a probe holds; that probe is the value. The
 unpruned search, the reference, probes down from ``n`` instead. The
-witness walks from key ``0`` with the value as its need: at each state it
-takes the memo's choice when ``lo`` equals the need, and otherwise expands
-the state once at the need, then lowers the need by one. Along the walk
-the need is the state's exact value, so each step takes the lowest-id
-child that keeps the optimum, the lexicographically first optimal run.
+witness follows the memo's choices from key ``0`` and expands nothing.
+Each step takes the lowest-id child that keeps the optimum, so the witness
+is the lexicographically first optimal run, for three reasons. ``lo`` only
+rises, and no call below a state writes that state's entry, since a
+child's key strictly contains its parent's. On the walk each key's exact
+value is the need, one less at each step, and the call that took the step
+reached the need there, so ``lo`` equals the need. And the call that
+stored that ``lo`` returned at the lowest-id child reaching ``lo - 1``.
 
-Pruning is restricted to bounds that cannot cut a branch that reaches the
-threshold, so every memo bound stays exact:
+Pruning reads one table, and only where it cannot cut a branch that
+reaches the threshold, so every memo bound stays exact. From a key of
+``a`` nodes at most ``most[a]`` rounds or sources remain, the paper's
+isoperimetric recurrence ``x_{i+1} = x_i + phi(x_i) + 1`` with the vertex
+connectivity ``kappa`` (:attr:`Graph.connectivity`) as the floor
+``phi(c) = min(kappa, n - c)``. The round that cools the key picks a
+source and leaves a boundary ``C`` of ``c = a + 1`` nodes. If ``N[C]``
+misses a node, its border ``N[C] - C`` separates ``C`` from that node and
+so holds at least ``kappa`` nodes; either way the child's key ``N[C]``
+holds at least ``c + min(kappa, n - c)`` nodes. So ``most[a] = 1 +
+most[c + min(kappa, n - c)]`` for a boundary that is not full, while a
+full one ends the run, one round and one source. The last entry,
+``most[n]``, is the objective's own number, the gain of a full key: one
+round and no source. The table never rises with ``a``, so the entry of
+the least child key bounds every larger one. At ``kappa = 1`` it is the
+counting bound, ``u // 2 + 1`` rounds and ``(u - 1) // 2 + 1`` sources
+with ``u`` nodes outside the key. A call at ``t`` reads it three ways:
 
-* from a key of ``a`` nodes at most ``most[a]`` rounds or sources remain,
-  the paper's isoperimetric recurrence ``x_{i+1} = x_i + phi(x_i) + 1``
-  with the vertex connectivity ``kappa`` (:attr:`Graph.connectivity`) as
-  the floor ``phi(c) = min(kappa, n - c)``. The round that cools the key
-  picks a source and leaves a boundary ``C`` of ``c = a + 1`` nodes. If
-  ``N[C]`` misses a node, its border ``N[C] - C`` separates ``C`` from
-  that node and so holds at least ``kappa`` nodes; either way the child's
-  key ``N[C]`` holds at least ``c + min(kappa, n - c)`` nodes. So
-  ``most[a] = 1 + most[c + min(kappa, n - c)]`` for a boundary that is
-  not full, while a full one ends the run, one round and one source, and
-  a full key gains one round and no source. The table never rises with
-  ``a``, so the entry of the least child key bounds every larger one. A
-  call above ``most[a]`` fails without expanding; at the root, key ``0``,
-  that cuts a probe above ``most[0]``. At ``kappa = 1`` the table is the
-  counting bound, ``u // 2 + 1`` rounds and ``(u - 1) // 2 + 1`` sources
-  with ``u`` nodes outside the key;
-* the table is also read along the state's spread: ``near[j]``, the nodes
-  within ``j`` hops of key ``K`` (below), is what spread alone cools in
-  ``j`` more rounds, and sources only add to it. So a run from ``K`` that
-  lasts at least ``j`` more rounds has a key holding ``near[j]`` ``j``
-  rounds later, and at most ``j + most[|near[j]|]`` rounds or sources
-  remain; a run that ends sooner gains fewer than ``j``. A call at ``t``
-  fails once the vector is formed, before any child is visited, when
-  ``t - j > most[|near[j]|]`` for some ``j`` from 1 to ``t - 1`` that the
-  vector holds;
-* at most ``ecc(C)`` rounds remain from cooled set ``C``, since spread alone
-  reaches every node within ``ecc(C)`` rounds and sources only accelerate;
-* at most ``ecc(C) - 1`` sources remain from a cooled set ``C`` that is not
-  full: a run from ``C`` lasts at most ``ecc(C)`` rounds, and if it lasts
-  exactly that many, the spread of its last round already cools every
-  remaining node, so that round picks no source.
+* by the size of its key: it fails without expanding when ``t >
+  most[|K|]``; at the root, key ``0``, that cuts a probe above
+  ``most[0]``;
+* along its spread: ``near[j]``, the nodes within ``j`` hops of key ``K``
+  (below), is what spread alone cools in ``j`` more rounds, and sources
+  only add to it. So a run from ``K`` that lasts at least ``j`` more
+  rounds has a key holding ``near[j]`` ``j`` rounds later, and at most
+  ``j + most[|near[j]|]`` rounds or sources remain; a run that ends sooner
+  gains fewer than ``j``. The call fails once the vector is formed, before
+  any child is visited, when ``t - j > most[|near[j]|]`` for some ``j``
+  from 1 to ``t - 1`` that the vector holds;
+* for all its children at once: a child whose vector would be full at
+  radius ``r - 1``, with ``r = t - 1 - most[n]``, fails at ``t - 1``. At
+  ``r = 0`` its boundary is full and ends the run; at ``r = 1`` its key is
+  full and gains ``most[n] < t - 1``; past that the spread read at ``j =
+  r - 1`` finds ``(t - 1) - (r - 1) > most[n]``. So such children are cut
+  without being called.
 
-The eccentricity bounds cut children at a radius fixed for the whole call:
-a child whose every node lies within ``r = t - 2`` hops (rounds) or
-``r = t - 1`` hops (sources) cannot reach ``t - 1`` more, so it is skipped.
 Each state carries its vector ``near``: ``near[j]`` is the set of nodes
 within ``j`` hops of its key ``K``, so ``near[0]`` is ``K`` and ``near[1]``
-is ``N[K]``. The child boundary is ``K | {s}``, so a child is skipped when
-``near[r]`` ORed with the radius-``r`` ball of ``s`` (:attr:`Graph.balls`)
-is every node, that is when ``s`` lies within ``r`` hops of every node
-``u`` outside ``near[r]``. Hop distance is symmetric, so ``s`` lies in
-``u``'s ``r``-ball exactly when ``u`` lies in ``s``'s: the cut children are
-the AND of the ``r``-balls of the nodes outside ``near[r]``, formed once per
+is ``N[K]``. The child's vector at radius ``r - 1`` holds the nodes within
+``r`` hops of its boundary ``K | {s}``, so it is full when ``near[r]`` ORed
+with the radius-``r`` ball of ``s`` (:attr:`Graph.balls`) is every node,
+that is when ``s`` lies within ``r`` hops of every node ``u`` outside
+``near[r]``. Hop distance is symmetric, so ``s`` lies in ``u``'s
+``r``-ball exactly when ``u`` lies in ``s``'s: the cut children are the
+AND of the ``r``-balls of the nodes outside ``near[r]``, formed once per
 expanded state, one AND per such node until it is empty, and the child loop
 visits only the rest, still in id order. ``ecc_cuts`` counts the cut
 children that loop would have met before it returned. The child's own
@@ -80,9 +82,10 @@ vector is ``near[j + 1] | balls[s][j + 1]``, one ``map`` over at most
 ``d + 1`` ints whose entry 0 is the child's key; it depends only on that
 key, so the memo stays sound, and it is formed only when the child passes
 the memo and the table's test on the size of its key. At ``t = 1`` every
-child succeeds, a full boundary too, so the cut starts at ``t = 2``. Every
-bound and both caps are cross-checked against unpruned search in the test
-suite, and the caps also against a solver-free enumeration of every run.
+child succeeds, a full boundary too, so the cut starts at ``t = 2``. The
+table, its three reads and both caps are cross-checked against unpruned
+search in the test suite, and the caps also against a solver-free
+enumeration of every run.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -137,13 +140,13 @@ class SearchLimits:
 @dataclass(frozen=True)
 class SearchStats:
     """Work counters of one search. For the cooling-side searches
-    ``expanded`` counts a state once for each threshold that expands it,
-    plus the states the witness walk expands. ``roots`` counts the first
-    sources they ran, one per automorphism orbit found among the listed
-    ones, and ``probes`` the thresholds tried at the empty boundary.
-    ``ecc_cuts`` counts children skipped by the eccentricity bound and
-    ``counting_cuts`` the calls the gain table failed, by the size of the
-    key or along its spread; the table is the counting bound where the
+    ``expanded`` counts a state once for each threshold that expands it.
+    ``roots`` counts the first sources they ran, one per automorphism orbit
+    found among the listed ones, and ``probes`` the thresholds tried at the
+    empty boundary. ``ecc_cuts`` counts the children the gain table cut for
+    all of a state's children at once, by their eccentricity, and
+    ``counting_cuts`` the calls it failed, by the size of the key or
+    along its spread; the table is the counting bound where the
     vertex connectivity is 1. A call failed along the spread forms the
     state's vector but visits no child, so it counts there and not in
     ``expanded``.
@@ -171,8 +174,9 @@ class SearchResult:
     stats: SearchStats
 
 
-_ROUNDS = 0
-_SOURCES = 1
+# an objective is the gain of a full key: one round and no source
+_ROUNDS = 1
+_SOURCES = 0
 
 
 @cache
@@ -181,7 +185,7 @@ def _gains(n: int, kappa: int, objective: int) -> tuple[int, ...]:
     from a key of ``a`` nodes on a connected graph of ``n`` nodes and vertex
     connectivity ``kappa`` (the module docstring proves it). Built once per
     ``(n, kappa, objective)``."""
-    most = [1] * n + [1 if objective == _ROUNDS else 0]
+    most = [1] * n + [objective]
     for a in range(n - 2, -1, -1):
         c = a + 1
         most[a] = 1 + most[c + min(kappa, n - c)]
@@ -201,9 +205,6 @@ class _MaxSearch:
         # vector runs to radius d + 1, as a ball does
         self.empty = (0,) * (self.top + 3)
         self.objective = objective
-        # a child within t - 2 + slack hops of every node cannot reach t - 1
-        # more: at most ecc rounds, or ecc - 1 sources, remain from it
-        self.slack = 0 if objective == _ROUNDS else 1
         self.prune = prune
         # the unpruned reference cuts nothing, so it needs no connectivity
         self.most = _gains(g.n, g.connectivity, objective) if prune else ()
@@ -226,13 +227,11 @@ class _MaxSearch:
         ``up`` and its source's balls ``ball``, and is formed only if the
         state passes the memo and the table's test on the size of its key.
         The empty boundary, key 0, has ``self.empty`` for both."""
-        if t <= 0:
-            return True
         key = up[1] | ball[1]
         if key == self.full:
             # the next round's spread finishes the process: one final round,
-            # no further source
-            return t <= (1 if self.objective == _ROUNDS else 0)
+            # no further source, the gain that names the objective
+            return t <= self.objective
         lo, hi, choice = self.memo.get(key, self.unknown)
         if not lo < t <= hi:
             self.memo_hits += 1
@@ -261,17 +260,18 @@ class _MaxSearch:
         full = self.full
         rem = full ^ key if key else self.first
         balls = self.balls
-        # the child boundary key | {s} is within r hops of every node exactly
-        # when near[r] | balls[s][r] is full, that is when s lies in the
-        # r-ball of every node u outside near[r], as hop distance is
-        # symmetric: so the AND of those balls over rem is the set of cut
-        # children. At t = 1 every child succeeds. The vector drops one
-        # radius a level, so a key k sources deep keeps radii 0..d + 1 - k;
-        # the probe starts at the caps, min(d + 1, ...) rounds and
-        # min(d, ...) sources, so r stays below d - k, inside it
+        # a child whose boundary key | {s} is within r = t - 1 - most[n] hops
+        # of every node fails at t - 1 by the table; that is when
+        # near[r] | balls[s][r] is full, so when s lies in the r-ball of
+        # every node u outside near[r], as hop distance is symmetric: so the
+        # AND of those balls over rem is the set of cut children. At t = 1
+        # every child succeeds. The vector drops one radius a level, so a
+        # key k sources deep keeps radii 0..d + 1 - k; the probe starts at
+        # the caps, min(d + 1, ...) rounds and min(d, ...) sources, so r
+        # stays below d - k, inside it
         cut = 0
         if self.prune and t >= 2:
-            r = t - 2 + self.slack
+            r = t - 1 - self.objective
             far = full ^ near[r]
             cut = rem
             while far and cut:
@@ -301,28 +301,22 @@ class _MaxSearch:
         """Value and lowest-id witness over the first sources in the mask ``first``."""
         self.first = first
         n, d = len(self.balls), self.top
-        # the paper's diameter and order caps bound every run, so they bound
-        # the best over any set of first sources too; the unpruned reference
-        # probes from n instead, so that it tests the caps
-        if not self.prune:
-            start = n
-        elif self.objective == _ROUNDS:
-            start = min(d + 1, (n + 2) // 2)
-        else:
-            start = max(1, min(d, (n + 1) // 2))
+        # the paper's diameter and order caps, d + 1 and floor(n/2) + 1 rounds,
+        # d and ceil(n/2) sources, bound every run, so they bound the best
+        # over any set of first sources too; the unpruned reference probes
+        # from n instead, so that it tests the caps
+        obj = self.objective
+        start = max(1, min(d + obj, (n + 1 + obj) // 2)) if self.prune else n
         value = start
         while not self.at_least(value, self.empty, self.empty):
             value -= 1
         self.probes = start - value + 1
-        seq, need, up, ball = [], value, self.empty, self.empty
+        seq, up, ball = [], self.empty, self.empty
         # the lowest-id child that keeps the optimum
         while (key := up[1] | ball[1]) != self.full:
-            if self.memo.get(key, self.unknown)[0] != need:
-                self.at_least(need, up, ball)  # lo < need <= hi here, so this expands
             choice = self.memo[key][2]
             seq.append(choice)
             up, ball = (*map(or_, up[1:], ball[1:]),), self.balls[choice]
-            need -= 1
         return value, seq
 
 

@@ -71,13 +71,18 @@ class ClosedForm:
 def closed_form(family: str, params: Mapping[str, int]) -> ClosedForm:
     """Certified cooling-number value or window for a family of :data:`FORMS`.
 
-    Raises ``GraphError`` when a parameter is below its least allowed value
-    and ``StrategyError`` for a family the table does not hold.
+    Raises ``GraphError`` when ``params`` does not name exactly the family's
+    parameters or one is below its least allowed value, and
+    ``StrategyError`` for a family the table does not hold.
     """
     row = FORMS.get(family)
     if row is None:
         raise StrategyError(f"unknown family {family!r}")
     p = dict(params)
+    names = [name for name, _ in row.params]
+    if sorted(p) != sorted(names):
+        got = ", ".join(sorted(p)) or "none"
+        raise GraphError(f"{family} forms take {', '.join(names)}, got {got}")
     if not row.admits(p):
         need = " and ".join(f"{name} >= {least}" for name, least in row.params)
         got = ", ".join(f"{name}={p[name]}" for name, _ in row.params)

@@ -71,6 +71,22 @@ class TestGen:
         assert repr(spec) in err and "invalid literal" not in err
         assert not out_file.exists()
 
+    def test_unknown_base_family_exits_one(self, tmp_path):
+        out_file = tmp_path / "g.json"
+        code, out, err = run_cli("gen", "ilt", "--base", "foo:3", "--t", "1",
+                                 "--out", str(out_file))
+        assert (code, out, err) == (1, "", "unknown base family 'foo'\n")
+        assert not out_file.exists()
+
+    def test_grid_dot_places_each_cell(self, tmp_path):
+        dot = tmp_path / "g.dot"
+        code, _, _ = run_cli("gen", "grid", "--n", "3", "--out", str(tmp_path / "g.json"),
+                             "--dot", str(dot))
+        assert code == 0
+        lines = dot.read_text().splitlines()
+        # node v sits at column v % 3 + 1 and row v // 3 + 1, rows drawn downward
+        assert lines[1:10] == [f'  {v} [pos="{v % 3 + 1},{-(v // 3 + 1)}!"];' for v in range(9)]
+
     def test_json_mode(self, tmp_path):
         code, out, _ = run_cli("gen", "grid", "--n", "3", "--json",
                                "--out", str(tmp_path / "g.json"))

@@ -25,7 +25,7 @@ from coolnum.generators import (
     gen_path,
     grid_node,
 )
-from coolnum.graphs import DisconnectedGraphError, build_graph, diameter
+from coolnum.graphs import DisconnectedGraphError, Graph, GraphError, build_graph, diameter
 
 
 def defer(g, cooled, t):
@@ -74,6 +74,10 @@ class TestRunCooling:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             run_cooling(build_graph(4, [(0, 1), (2, 3)]), defer)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(GraphError, match="^process needs at least one node$"):
+            run_cooling(Graph(0, ()), defer)
 
     def test_none_takes_smallest_uncooled_after_scripted_picks(self):
         script = {1: 6}  # round 1 picks the far end, later rounds defer
@@ -265,6 +269,10 @@ class TestTraceSerialization:
         path = tmp_path / "trace.json"
         write_trace(trace, path)
         assert read_trace(path) == trace
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match='^trace JSON must be an object with a "rounds" list$'):
+            trace_from_json_obj([])
 
     def test_cooled_round_map(self):
         trace = validate_sequence(gen_complete_caterpillar(6), [0, 6, 7, 8, 9])

@@ -27,7 +27,7 @@ from coolnum.graphs import (
     bfs_distances,
     build_graph,
     diameter,
-    diameter_and_lowest_end,
+    diameter_sweep,
     eccentricity,
 )
 from coolnum.ilt import ilt_t
@@ -129,6 +129,10 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             build_graph(4, [(2, 2)])
 
+    def test_negative_node_count_rejected(self):
+        with pytest.raises(GraphError, match=r"^node count must be nonnegative, got -1$"):
+            build_graph(-1, [])
+
     @pytest.mark.parametrize("edge,shown", [
         ((True, 0), "(True, 0)"), ((0, 1.0), "(0, 1.0)"), ((0, "1"), "(0, '1')"),
     ], ids=["bool", "float", "str"])
@@ -178,14 +182,24 @@ class TestDistances:
     def test_eccentricity_center_of_path(self):
         assert eccentricity(gen_path(5), 2) == 2
 
+    def test_start_node_outside_the_graph_rejected(self):
+        g = gen_path(4)
+        with pytest.raises(GraphError, match=r"^start node 4 outside 0\.\.3$"):
+            bfs_distances(g, g.n)
+
+    def test_eccentricity_disconnected_rejected(self):
+        with pytest.raises(DisconnectedGraphError,
+                           match="^eccentricity is undefined on a disconnected graph$"):
+            eccentricity(build_graph(4, [(0, 1), (2, 3)]), 0)
+
 
 class TestDiameterAgainstAllPairs:
-    """``diameter_and_lowest_end`` BFS's a few nodes; each test compares it
-    with one BFS from every node."""
+    """``diameter_sweep`` BFS's a few nodes; each test compares its diameter
+    and lowest diametral end with one BFS from every node."""
 
     def check(self, samples):
         for g in samples:
-            assert diameter_and_lowest_end(g) == diameter_and_lowest_end_by_all_pairs(g), g.adj
+            assert diameter_sweep(g)[:2] == diameter_and_lowest_end_by_all_pairs(g), g.adj
 
     def test_corpus(self, corpus):
         self.check(g for _, g in corpus)
@@ -211,7 +225,7 @@ class TestDiameterAgainstAllPairs:
             h = nx.Graph(list(g.edges()))
             h.add_nodes_from(range(g.n))
             assert diameter(g) == nx.diameter(h), g.adj
-            assert diameter_and_lowest_end(g)[1] == min(nx.periphery(h)), g.adj
+            assert diameter_sweep(g)[1] == min(nx.periphery(h)), g.adj
 
 
 class TestGenerators:

@@ -65,6 +65,14 @@ def test_malformed_files_rejected(tmp_path, content):
         read_graph(path)
 
 
+def test_edges_not_a_list_rejected(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"n": 3, "edges": {}}')
+    with pytest.raises(GraphError) as err:
+        read_graph(path)
+    assert str(err.value) == f'{path}: "edges" must be a list of pairs'
+
+
 def test_written_file_is_canonical(tmp_path):
     path = tmp_path / "g.json"
     write_graph(gen_path(3), path)

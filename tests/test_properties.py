@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coolnum.bounds import iso_profile_exact, iso_upper_bound
 from coolnum.engine import run_cooling, validate_sequence
-from coolnum.graphs import bfs_distances, build_graph, diameter, diameter_and_lowest_end
+from coolnum.graphs import bfs_distances, build_graph, diameter, diameter_sweep
 from coolnum.ilt import ilt
 from coolnum.solver import burning_number, cooling_number, max_sequence_length
 
@@ -32,7 +32,7 @@ def connected_graphs(draw, max_n=10):
 @given(connected_graphs(max_n=30))
 def test_diameter_and_lowest_end_match_one_bfs_per_node(g):
     eccs = [max(bfs_distances(g, v)) for v in range(g.n)]
-    assert diameter_and_lowest_end(g) == (max(eccs), eccs.index(max(eccs)))
+    assert diameter_sweep(g)[:2] == (max(eccs), eccs.index(max(eccs)))
 
 
 @settings(max_examples=40, deadline=None)

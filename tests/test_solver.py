@@ -65,7 +65,7 @@ def carried_vectors(search):
     """Run ``search.solve`` over every first source and return the distinct
     vectors the search carried: the vector ``near`` of each state it expanded,
     read from ``at_least``'s frame as the call returns, and the parent vector
-    ``up`` of each call, which also holds the witness walk's vectors."""
+    ``up`` of each call. The witness walk makes no call."""
     code = solver._MaxSearch.at_least.__code__
     vectors = set()
 
@@ -125,9 +125,9 @@ class TestCoolingNumber:
             assert replay == res.witness
 
     def test_no_prune_matches(self, corpus):
-        # both objectives: the source count has its own bounds (ecc - 1 per
-        # child and per first source, the diameter overall); the unpruned
-        # search probes down from n, so this checks the caps too
+        # both objectives: the source count has its own table end, cut
+        # radius and caps; the unpruned search probes down from n, so this
+        # checks the caps too
         graphs = small_sample() + [g for _, g in corpus]
         for g in graphs:
             if g.n <= 10:
@@ -350,10 +350,10 @@ class TestPinnedWork:
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == pinned
 
-    # instances that the eccentricity cut and the table read at the key's
-    # size alone leave deep, 4,400 to 98,000 states each; a spider with
-    # unequal legs has no automorphism, so the orbit reduction does not
-    # shrink it
+    # instances that the cut for all children at once and the table read at
+    # the key's size alone leave deep, 4,400 to 98,000 states each; a
+    # spider with unequal legs has no automorphism, so the orbit reduction
+    # does not shrink it
     @pytest.mark.parametrize("graph, pinned, witness", [
         (gen_grid(8), (11, 581, 3900, 12157, 1689), [0, 2, 4, 6, 15, 29, 43, 57, 60, 62]),
         (gen_grid(10), (15, 1880, 17891, 60713, 5103),
@@ -541,10 +541,10 @@ def test_cut_mask_matches_the_per_child_test(corpus):
 
 
 def test_each_state_carries_the_bfs_reach_of_its_key(corpus):
-    """At every state the search expands, and on every vector the witness
-    walk passes down, ``near[j]`` is the set of nodes within ``j`` hops of the
-    key ``near[0]``, for ``j = 0..diameter``; a radius past the vector's end
-    holds every node, so the search never needs it."""
+    """At every state the search expands, ``near[j]`` is the set of nodes
+    within ``j`` hops of the key ``near[0]``, for ``j = 0..diameter``; a
+    radius past the vector's end holds every node, so the search never
+    needs it."""
     graphs = [g for _, g in corpus] + [gen_grid(6), gen_cycle(24), gen_path(1), gen_path(2)]
     for g in graphs:
         full, d = (1 << g.n) - 1, diameter(g)
@@ -589,7 +589,7 @@ class TestThresholdSearch:
     def test_probe_at_one_keeps_a_full_boundary(self):
         # on P_3 the key {0, 1} leaves node 2 alone, and the child boundary
         # with source 2 is full: one source and one round, though the child
-        # lies within 0 hops of every node, so no eccentricity test runs at t = 1
+        # lies within 0 hops of every node, so no cut runs at t = 1
         for objective in (solver._ROUNDS, solver._SOURCES):
             g = gen_path(3)
             search = solver._MaxSearch(g, objective, True, None)

@@ -26,6 +26,7 @@ from coolnum.ilt import ilt_t
 from coolnum.solver import SearchLimits, cooling_number, max_sequence_length
 from coolnum.verify import SPIDER_SHAPES
 from coolnum.strategies import (
+    ClosedForm,
     StrategyError,
     caterpillar_strategy,
     caterpillar_strategy_trace,
@@ -272,6 +273,10 @@ class TestCaterpillarStrategy:
     def test_reference_sources(self):
         assert caterpillar_strategy(6) == [0, 6, 7, 8, 9]
 
+    def test_d_below_three_rejected(self):
+        with pytest.raises(GraphError, match="^complete caterpillar needs d >= 3, got 2$"):
+            caterpillar_strategy(2)
+
     @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
     def test_achieves_d_rounds(self, d):
         assert caterpillar_strategy_trace(d).num_rounds == d
@@ -351,6 +356,10 @@ class TestIltPathStrategy:
         with pytest.raises(GraphError):
             ilt_path_strategy(2, 1)
 
+    def test_t_below_one_rejected(self):
+        with pytest.raises(GraphError, match="^ilt path strategy needs t >= 1, got 0$"):
+            ilt_path_strategy(3, 0)
+
 
 class TestIltLift:
     def test_lift_from_ilt3_p2(self):
@@ -379,6 +388,21 @@ class TestIltLift:
         dst = ilt_t(gen_path(3), 1)
         with pytest.raises(StrategyError):
             ilt_lift_sequence([0], src, dst)
+
+    def test_bases_must_match(self):
+        src = ilt_t(gen_path(3), 2)
+        dst = ilt_t(gen_path(4), 2)
+        with pytest.raises(StrategyError,
+                           match="^source and target must come from the same base graph$"):
+            ilt_lift_sequence([0], src, dst)
+
+    def test_origin_recurring_after_a_gap_rejected(self):
+        src = ilt_t(gen_path(3), 2)
+        dst = ilt_t(gen_path(3), 2)
+        assert [src.origin[u] for u in (0, 1, 0)] == [0, 1, 0]
+        with pytest.raises(StrategyError, match="^origin recurs after a gap; input was not a "
+                                                "cooling sequence$"):
+            ilt_lift_sequence([0, 1, 0], src, dst)
 
 
 class TestClosedForm:
@@ -424,6 +448,28 @@ class TestClosedForm:
     def test_unknown_family(self):
         with pytest.raises(StrategyError):
             closed_form("torus", {"n": 3})
+
+    @pytest.mark.parametrize("family, params, got", [
+        ("grid", {}, "none"),
+        ("grid", {"n": 3, "x": 1}, "n, x"),
+        ("grid", {"m": 3}, "m"),
+        ("spider", {"m": 2}, "m"),
+    ])
+    def test_parameters_must_be_the_familys(self, family, params, got):
+        names = ", ".join(name for name, _ in strategies.FORMS[family].params)
+        with pytest.raises(GraphError) as err:
+            closed_form(family, params)
+        assert str(err.value) == f"{family} forms take {names}, got {got}"
+
+    @pytest.mark.parametrize("kind, lo, hi, message", [
+        ("window", 5, 4, "empty window [5, 4]"),
+        ("window", 5, None, "empty window [5, None]"),
+        ("exact", 3, 4, "exact form needs lo == hi"),
+    ])
+    def test_inconsistent_form_rejected(self, kind, lo, hi, message):
+        with pytest.raises(StrategyError) as err:
+            ClosedForm("grid", {"n": 5}, kind, lo, hi)
+        assert str(err.value) == message
 
     def test_window_containment(self):
         form = closed_form("grid", {"n": 8})

@@ -85,8 +85,12 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
         raise GraphError("process needs at least one node")
     if not g.is_connected:
         raise DisconnectedGraphError("process requires a connected graph")
+    adj = g.adj
     cooled: set[int] = set()
     border: set[int] = set()  # uncooled nodes adjacent to a cooled node
+    # seen[v] holds exactly when v is in cooled | border, so each node joins
+    # the border once, and the loops below read one flag per edge end
+    seen = [False] * g.n
     records: list[RoundRecord] = []
     lowest = iter(range(g.n))  # no id it has passed is uncooled, as cooled only grows
     t = 0
@@ -95,7 +99,13 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
         newly = border
         spread = frozenset(newly)
         cooled |= newly
-        border = {w for v in newly for w in g.adj[v] if w not in cooled}
+        border = set()  # a set, not a list: frozenset(set) is presized
+        add = border.add
+        for v in newly:
+            for w in adj[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    add(w)
         source: int | None = None
         if len(cooled) < g.n:
             source = policy(g, cooled, t)
@@ -107,10 +117,12 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
             if source in cooled:
                 raise InvalidSourceError(source, t, f"node {source} is already cooled")
             cooled.add(source)
+            seen[source] = True
             border.discard(source)
-            for w in g.adj[source]:
-                if w not in cooled:
-                    border.add(w)
+            for w in adj[source]:
+                if not seen[w]:
+                    seen[w] = True
+                    add(w)
         records.append(RoundRecord(t, spread, source))
     return CoolingTrace(tuple(records))
 
@@ -194,11 +206,25 @@ def trace_to_json_obj(trace: CoolingTrace) -> dict:
     }
 
 
+def _round_from_json(i: int, e: object) -> RoundRecord:
+    # a bool is no round or node id, even where it equals one
+    if not isinstance(e, dict):
+        raise ValueError(f"trace rounds[{i}] must be an object")
+    if type(e.get("round")) is not int:
+        raise ValueError(f"trace rounds[{i}]: round must be an int")
+    spread = e.get("spread")
+    if type(spread) is not list or any(type(v) is not int for v in spread):
+        raise ValueError(f"trace rounds[{i}]: spread must be a list of ints")
+    source = e.get("source", "")  # a missing source is no null
+    if source is not None and type(source) is not int:
+        raise ValueError(f"trace rounds[{i}]: source must be an int or null")
+    return RoundRecord(e["round"], frozenset(spread), source)
+
+
 def trace_from_json_obj(obj: dict) -> CoolingTrace:
-    if not isinstance(obj, dict) or "rounds" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("rounds"), list):
         raise ValueError('trace JSON must be an object with a "rounds" list')
-    return CoolingTrace(tuple(RoundRecord(e["round"], frozenset(e["spread"]), e["source"])
-                              for e in obj["rounds"]))
+    return CoolingTrace(tuple(_round_from_json(i, e) for i, e in enumerate(obj["rounds"])))
 
 
 def write_trace(trace: CoolingTrace, path: str | Path) -> None:

@@ -6,7 +6,7 @@ this package operate on the :class:`Graph` defined here.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -196,12 +196,12 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
         raise GraphError(f"start node {v} outside 0..{g.n - 1}")
     dist = [UNREACHABLE] * g.n
     dist[v] = 0
-    queue = deque([v])
-    while queue:
-        u = queue.popleft()
+    queue = [v]
+    for u in queue:  # the list grows behind the loop, in BFS order
+        du = dist[u] + 1
         for w in g.adj[u]:
             if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
+                dist[w] = du
                 queue.append(w)
     return dist
 

@@ -217,12 +217,32 @@ class _SeededPolicy:
         return self.rng.choice([v for v in range(g.n) if v not in cooled])
 
 
+class _BorderPolicy(_SeededPolicy):
+    """Picks a border node (uncooled, next to a cooled one) while there is
+    one, so that most rounds take their source off the engine's border."""
+
+    def __call__(self, g, cooled, t):
+        border = sorted({w for v in cooled for w in g.adj[v]} - cooled)
+        return self.rng.choice(border) if border else super().__call__(g, cooled, t)
+
+
+def _relabeled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def _random_runs():
     rng = random.Random(7)
-    for i in range(40):
-        n = rng.randrange(2, 11)
-        g = random_connected_graph(rng, n, rng.choice((0.1, 0.3, 0.6)))
+    graphs = [random_connected_graph(rng, rng.randrange(2, 11), rng.choice((0.1, 0.3, 0.6)))
+              for _ in range(40)]
+    graphs += [gen_grid(30), _relabeled(gen_path(300), 5)]
+    graphs += [random_connected_graph(rng, n, p) for n, p in ((50, 0.05), (120, 0.02),
+                                                                (200, 0.01), (300, 0.005))]
+    for i, g in enumerate(graphs):
         yield g, _SeededPolicy(seed=1000 + i)
+        if g.n >= 50:
+            yield g, _BorderPolicy(seed=2000 + i)
 
 
 class TestTraceInvariants:
@@ -273,6 +293,20 @@ class TestTraceSerialization:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match='^trace JSON must be an object with a "rounds" list$'):
             trace_from_json_obj([])
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"rounds": 5}, 'trace JSON must be an object with a "rounds" list'),
+        ({"rounds": [{}]}, "trace rounds[0]: round must be an int"),
+        ({"rounds": [{"round": 1, "spread": [], "source": 0},
+                     {"round": 2, "spread": 1, "source": None}]},
+         "trace rounds[1]: spread must be a list of ints"),
+        ({"rounds": [{"round": 1, "spread": [], "source": "x"}]},
+         "trace rounds[0]: source must be an int or null"),
+    ])
+    def test_malformed_round_rejected(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            trace_from_json_obj(obj)
+        assert str(err.value) == message
 
     def test_cooled_round_map(self):
         trace = validate_sequence(gen_complete_caterpillar(6), [0, 6, 7, 8, 9])

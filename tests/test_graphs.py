@@ -187,6 +187,22 @@ class TestDistances:
         with pytest.raises(GraphError, match=r"^start node 4 outside 0\.\.3$"):
             bfs_distances(g, g.n)
 
+    def test_every_row_matches_networkx(self):
+        # random edges alone leave the sparse draws in several components
+        rng = random.Random(37)
+        samples = []
+        for n in (1, 2, 7, 30, 80, 150, 300):
+            samples.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                           if rng.random() < 1.2 / n]))
+            samples.append(random_connected_graph(rng, n, 4 / n))
+        assert sum(not g.is_connected for g in samples) >= 4
+        for g in samples:
+            h = nx.Graph(list(g.edges()))
+            h.add_nodes_from(range(g.n))
+            for v in range(g.n):
+                near = nx.single_source_shortest_path_length(h, v)
+                assert bfs_distances(g, v) == [near.get(w, UNREACHABLE) for w in range(g.n)], v
+
     def test_eccentricity_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError,
                            match="^eccentricity is undefined on a disconnected graph$"):

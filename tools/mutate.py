@@ -7,12 +7,12 @@ key's size, along that vector and for all children at once (the cut
 radius, the cut mask and its count), memo bounds, first probe and the
 witness walk's key and vector, and the burning search's radius order,
 capacity bound and first round count in ``solver.py``, the orbit
-reduction, the vertex connectivity and ``build_graph``'s endpoint check
-and shared id objects in ``graphs.py``, the grid's index arithmetic and
-shared id objects in ``generators.py``, the scripted pick and fallback of
-the round engine in ``engine.py``, and the bounds report's diameter,
-profile readout and recurrence step in ``bounds.py``. It does so in a
-throwaway copy of the repo, then runs ``tests/test_atlas.py`` (first: it
+reduction, the vertex connectivity, ``build_graph``'s endpoint check and
+shared id objects and the BFS level step in ``graphs.py``, the grid's index
+arithmetic and shared id objects in ``generators.py``, the scripted pick
+and fallback and the seen flags of the round engine in ``engine.py``, and
+the bounds report's diameter, profile readout and recurrence step in
+``bounds.py``. It does so in a throwaway copy of the repo, then runs ``tests/test_atlas.py`` (first: it
 kills about half the mutants in under 2 s), ``tests/test_engine.py``,
 ``tests/test_graphs.py``, ``tests/test_solver.py``,
 ``tests/test_properties.py``, ``tests/test_strategies.py``,
@@ -46,7 +46,7 @@ PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
          "tests/test_acceptance.py", "tests/test_bounds.py"]
-TIMEOUT_S = 300  # the eight files take about 15 s on a 2-core machine; the 58 mutants, 5 min
+TIMEOUT_S = 300  # the eight files take about 15 s on a 2-core machine; the 62 mutants, 5 min
 
 
 @dataclass(frozen=True)
@@ -175,6 +175,14 @@ MUTANTS = [
     Mutant("fallback-skip-uncooled", "next(filterfalse(cooled.__contains__, lowest)",
            "next(filter(cooled.__contains__, lowest)", module="engine.py"),
     Mutant("script-exhausted-entry", "return entry[-1]", "return None", module="engine.py"),
+    # the engine's flags: seen is cooled | border, so a source is flagged
+    # and taken off the border, and a node is flagged as it joins the border
+    Mutant("source-not-seen", "seen[source] = True\n            ", "", module="engine.py"),
+    Mutant("source-left-on-border", "border.discard(source)\n            ", "", module="engine.py"),
+    Mutant("border-not-seen", "seen[w] = True\n                    add(w)\n        source",
+           "add(w)\n        source", module="engine.py"),
+    # a BFS level is one more than its parent's
+    Mutant("bfs-level-kept", "du = dist[u] + 1", "du = dist[u]", module="graphs.py"),
     # the bounds report: the diameter is two less than a ball's radius count,
     # the profile's minimum is read with each count plane's bit weight, and
     # every recurrence step adds one source beyond the border

@@ -12,11 +12,12 @@ shared id objects and the BFS level step in ``graphs.py``, the grid's index
 arithmetic and shared id objects in ``generators.py``, the scripted pick
 and fallback and the seen flags of the round engine in ``engine.py``, and
 the bounds report's diameter, profile readout and recurrence step in
-``bounds.py``. It does so in a throwaway copy of the repo, then runs ``tests/test_atlas.py`` (first: it
-kills about half the mutants in under 2 s), ``tests/test_engine.py``,
-``tests/test_graphs.py``, ``tests/test_solver.py``,
-``tests/test_properties.py``, ``tests/test_strategies.py``,
-``tests/test_acceptance.py`` and ``tests/test_bounds.py`` with ``-x``.
+``bounds.py``. It does so in a throwaway copy of the repo, then runs
+``tests/test_atlas.py`` (first: it kills about half the mutants in under
+2 s), ``tests/test_engine.py``, ``tests/test_graphs.py``,
+``tests/test_solver.py``, ``tests/test_properties.py``,
+``tests/test_strategies.py``, ``tests/test_acceptance.py`` and
+``tests/test_bounds.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
 survival is expected; any other survivor means a rule the tests do not

@@ -48,8 +48,7 @@ def node_border(g: Graph, nodes: AbstractSet[int]) -> frozenset[int]:
     return frozenset(out - set(nodes))
 
 
-@dataclass(frozen=True)
-class IsoProfile:
+class IsoProfile(NamedTuple):
     """The vector ``phi[s]`` for ``s = 0..n`` (``phi[0] = phi[n] = 0``)."""
 
     n: int
@@ -234,6 +233,8 @@ def grid_iso_upper_bound(n: int) -> IsoUpperBound:
     return _iso_recurrence(n * n, phi)
 
 
+# kept a dataclass, unlike the other records: perfbench/tests calls
+# dataclasses.replace on it
 @dataclass(frozen=True)
 class BoundsReport:
     """Every bound on the cooling number we can compute for one graph."""

@@ -12,11 +12,10 @@ rounds, burning minimizes it; the mechanics are identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import filterfalse
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, Protocol, Sequence
+from typing import AbstractSet, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .graphs import DisconnectedGraphError, Graph, GraphError
 
@@ -39,8 +38,7 @@ class InvalidSourceError(ValueError):
         super().__init__(f"round {round_index}: {reason}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     """One round: the set cooled by spread, and the source chosen (if any)."""
 
     round: int
@@ -48,11 +46,34 @@ class RoundRecord:
     source: int | None
 
 
-@dataclass(frozen=True)
 class CoolingTrace:
-    """Complete round-by-round record of one run; the auditable witness."""
+    """Complete round-by-round record of one run; the auditable witness.
+
+    Traces compare and hash by ``rounds``, and assignment raises; the
+    instance ``__dict__`` holds ``rounds`` and the cached ``cooled_round``.
+    """
 
     rounds: tuple[RoundRecord, ...]
+
+    def __init__(self, rounds: tuple[RoundRecord, ...]):
+        object.__setattr__(self, "rounds", rounds)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CoolingTrace:
+            return NotImplemented
+        return self.rounds == other.rounds
+
+    def __hash__(self) -> int:
+        return hash(self.rounds)
+
+    def __repr__(self) -> str:
+        return f"CoolingTrace(rounds={self.rounds!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to CoolingTrace.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete CoolingTrace.{name}")
 
     @property
     def num_rounds(self) -> int:
@@ -139,7 +160,8 @@ class Script:
     sound because the engine passes its one cooled set to every call and
     only ever adds to it, so a node skipped once stays cooled. If every
     candidate is cooled, the entry's last node is returned for the engine
-    to reject.
+    to reject; an entry that names no node, or an iterator that runs dry,
+    raises :class:`InvalidSourceError`.
     """
 
     def __init__(self, entries: Iterable[Sequence[int]]):
@@ -150,7 +172,10 @@ class Script:
             try:
                 return next(filterfalse(cooled.__contains__, entry))
             except StopIteration:
-                return entry[-1]
+                # an empty entry, or a shared iterator run dry, has no last node
+                if entry and not isinstance(entry, Iterator):
+                    return entry[-1]
+                raise InvalidSourceError(None, t, "script entry names no uncooled node") from None
         return None
 
 
@@ -222,9 +247,40 @@ def _round_from_json(i: int, e: object) -> RoundRecord:
 
 
 def trace_from_json_obj(obj: dict) -> CoolingTrace:
+    """The trace a JSON object holds, checked as a run: it has a round,
+    entry ``i`` is round ``i + 1``, ids are nonnegative, round 1 spreads to
+    no node, every round but the last has a source outside its own spread,
+    and no node is cooled twice. A fault raises ``ValueError`` naming the
+    first entry at fault."""
     if not isinstance(obj, dict) or not isinstance(obj.get("rounds"), list):
         raise ValueError('trace JSON must be an object with a "rounds" list')
-    return CoolingTrace(tuple(_round_from_json(i, e) for i, e in enumerate(obj["rounds"])))
+    entries = obj["rounds"]
+    if not entries:
+        raise ValueError("trace has no round")
+    cooled: set[int] = set()
+    records = []
+    for i, e in enumerate(entries):
+        rec = _round_from_json(i, e)
+        cools = [*rec.spread] if rec.source is None else [*rec.spread, rec.source]
+        if rec.round != i + 1:
+            fault = f"round {rec.round} where {i + 1} is due"
+        elif cools and min(cools) < 0:
+            fault = "node ids must be nonnegative"
+        elif i == 0 and rec.spread:
+            fault = "round 1 must spread to no node"
+        elif rec.source is None and i < len(entries) - 1:
+            fault = "only the last round may have no source"
+        elif rec.source in rec.spread:
+            fault = f"source {rec.source} lies in its own spread"
+        elif not cooled.isdisjoint(cools):
+            fault = f"node {min(cooled.intersection(cools))} is cooled a second time"
+        else:
+            fault = None
+        if fault:
+            raise ValueError(f"trace rounds[{i}]: {fault}")
+        cooled.update(cools)
+        records.append(rec)
+    return CoolingTrace(tuple(records))
 
 
 def write_trace(trace: CoolingTrace, path: str | Path) -> None:

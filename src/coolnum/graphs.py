@@ -7,7 +7,6 @@ this package operate on the :class:`Graph` defined here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from operator import add, or_
@@ -44,7 +43,6 @@ class StrategyError(ValueError):
     """A strategy was asked to run outside its hypotheses."""
 
 
-@dataclass(frozen=True)
 class Graph:
     """Undirected graph on nodes ``0..n-1``.
 
@@ -59,10 +57,32 @@ class Graph:
     and fall through from the identity test to a compare. Both builders,
     :func:`build_graph` and ``generators.gen_grid``, take every entry from
     one list of the ids made per call.
+
+    Graphs compare and hash by ``(n, adj)``. Assignment raises; the cached
+    properties below, and :func:`known_connected`'s preset, are stored in
+    the instance ``__dict__`` directly.
     """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Graph:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to Graph.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete Graph.{name}")
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

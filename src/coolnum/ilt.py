@@ -8,13 +8,12 @@ their ids across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph, GraphError, build_graph
 
 
-@dataclass(frozen=True)
-class IltGraph:
+class IltGraph(NamedTuple):
     """An ILT iterate together with the maps tying nodes back to the base graph.
 
     ``parent[u]`` is the previous-iteration node that ``u`` equals (for

@@ -108,6 +108,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from operator import or_
+from typing import NamedTuple
 
 from .engine import CoolingTrace, Script, run_burning, validate_sequence
 from .graphs import (
@@ -122,8 +123,7 @@ DEFAULT_COOLING_MAX_NODES = 20
 DEFAULT_BURNING_MAX_NODES = 24
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(NamedTuple):
     """Caps the solver refuses to exceed rather than run unbounded.
 
     ``max_nodes=None`` selects the ``COOLNUM_MAX_NODES`` environment
@@ -137,8 +137,7 @@ class SearchLimits:
     time_budget: float | None = None
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     """Work counters of one search. For the cooling-side searches
     ``expanded`` counts a state once for each threshold that expands it.
     ``roots`` counts the first sources they ran, one per automorphism orbit
@@ -165,6 +164,8 @@ class SearchStats:
     capacity_cuts: int = 0
 
 
+# kept a dataclass, unlike the other records: perfbench/tests calls
+# dataclasses.replace on it
 @dataclass(frozen=True)
 class SearchResult:
     """Optimal value, a witness trace achieving it, and search statistics."""
@@ -320,11 +321,14 @@ class _MaxSearch:
         return value, seq
 
 
+_NO_LIMITS = SearchLimits()
+
+
 def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> tuple[float, float | None]:
     """Resolve the node cap, check ``g`` against it and check the time budget;
     the only place limits are read. Returns the start time and the deadline,
     ``None`` without a budget."""
-    limits = limits or SearchLimits()
+    limits = limits or _NO_LIMITS
     cap = limits.max_nodes
     if cap is None:
         raw = os.environ.get("COOLNUM_MAX_NODES")

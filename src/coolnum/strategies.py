@@ -13,9 +13,8 @@ The certified families are one table, :data:`FORMS`, which
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .engine import CoolingTrace, Script, run_cooling, validate_sequence
 from .generators import (
@@ -36,21 +35,35 @@ def _ceil_log2(m: int) -> int:
     return (m - 1).bit_length()
 
 
-@dataclass(frozen=True)
 class ClosedForm:
-    """A certified value for one family: exact, lower bound, or window [lo, hi]."""
+    """A certified value for one family: exact, lower bound, or window [lo, hi].
 
-    family: str
-    params: dict[str, int]
-    kind: str  # "exact" | "lower_bound" | "window"
-    lo: int
-    hi: int | None
+    Forms compare by all five fields; an empty window, or an exact form
+    with ``lo != hi``, raises ``StrategyError``."""
 
-    def __post_init__(self):
-        if self.kind == "window" and (self.hi is None or self.hi < self.lo):
-            raise StrategyError(f"empty window [{self.lo}, {self.hi}]")
-        if self.kind == "exact" and self.hi != self.lo:
+    def __init__(self, family: str, params: dict[str, int], kind: str, lo: int,
+                 hi: int | None):
+        if kind == "window" and (hi is None or hi < lo):
+            raise StrategyError(f"empty window [{lo}, {hi}]")
+        if kind == "exact" and hi != lo:
             raise StrategyError("exact form needs lo == hi")
+        self.family = family
+        self.params = params
+        self.kind = kind  # "exact" | "lower_bound" | "window"
+        self.lo = lo
+        self.hi = hi
+
+    def _key(self) -> tuple:
+        return (self.family, self.params, self.kind, self.lo, self.hi)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ClosedForm:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "ClosedForm(family={!r}, params={!r}, kind={!r}, lo={!r}, hi={!r})".format(
+            *self._key())
 
     def contains(self, value: int) -> bool:
         if self.kind == "lower_bound":
@@ -209,8 +222,7 @@ def _spider_plan(m: int, r: int) -> Iterator[list[int]]:
         yield from repeat(legs[m_prime + i - 1], (r + 1) // 2**i)
 
 
-@dataclass(frozen=True)
-class SpiderStrategyResult:
+class SpiderStrategyResult(NamedTuple):
     trace: CoolingTrace
 
 
@@ -287,8 +299,7 @@ def ilt_path_strategy_trace(n: int, t: int) -> CoolingTrace:
     return validate_sequence(ilt_t(gen_path(n), t).graph, ilt_path_strategy(n, t))
 
 
-@dataclass(frozen=True)
-class FamilyForm:
+class FamilyForm(NamedTuple):
     """One certified family: its parameters, member graph, closed form and,
     where one exists, the ``coolnum strategy`` run that the form bounds.
 

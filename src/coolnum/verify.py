@@ -17,33 +17,47 @@ from __future__ import annotations
 
 import io
 from contextlib import redirect_stdout
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import grid_iso_profile, iso_profile_exact, iso_upper_bound
-from .corpus import build_corpus
+# only what reference-traces runs; every other suite and helper imports the
+# solver, bounds, strategies and corpus layers it reads in its own body
 from .engine import validate_sequence
 from .generators import gen_complete_caterpillar, gen_grid, gen_path, gen_spider
 from .graphs import Graph, build_graph, diameter
 from .ilt import ilt, ilt_t
-from .solver import SearchLimits, SearchResult, burning_number, cooling_number, max_sequence_length
-from .strategies import FORMS, closed_form, grid_simplicial_strategy
+
+if TYPE_CHECKING:
+    from .solver import SearchLimits, SearchResult
 
 
-@dataclass
 class CheckRow:
-    name: str
-    instances: int
-    failures: list[str] = field(default_factory=list)
+    """One check of a suite: its name, how many instances it ran, and the
+    label of each that failed. Rows compare by all three; each row has its
+    own ``failures`` list."""
+
+    def __init__(self, name: str, instances: int, failures: list[str] | None = None):
+        self.name = name
+        self.instances = instances
+        self.failures = [] if failures is None else failures
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not CheckRow:
+            return NotImplemented
+        return (self.name, self.instances, self.failures) == \
+            (other.name, other.instances, other.failures)
+
+    def __repr__(self) -> str:
+        return (f"CheckRow(name={self.name!r}, instances={self.instances!r}, "
+                f"failures={self.failures!r})")
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass
-class SuiteReport:
+class SuiteReport(NamedTuple):
     suite: str
     rows: list[CheckRow]
 
@@ -66,6 +80,8 @@ def _forms(family: str, instances):
     """(label, parameter values, closed form) for each instance of a family
     of :data:`~coolnum.strategies.FORMS`; an instance is a tuple of values in
     the row's parameter order."""
+    from .strategies import FORMS, closed_form
+
     names = [name for name, _ in FORMS[family].params]
     for args in instances:
         params = dict(zip(names, args))
@@ -75,6 +91,9 @@ def _forms(family: str, instances):
 
 def _solver_cases(family: str, instances, limits: SearchLimits | None = None):
     """The solver's value on each member graph against its closed form."""
+    from .solver import cooling_number
+    from .strategies import FORMS
+
     for label, args, form in _forms(family, instances):
         got = cooling_number(FORMS[family].graph(*args), limits).value
         yield f"{label}: solver {got} vs {form.lo}", got == form.lo
@@ -82,6 +101,8 @@ def _solver_cases(family: str, instances, limits: SearchLimits | None = None):
 
 def _strategy_cases(family: str, instances):
     """The family's strategy rounds against its closed form."""
+    from .strategies import FORMS
+
     for label, args, form in _forms(family, instances):
         rounds = FORMS[family].run(*args).num_rounds
         yield f"{label}: strategy {rounds} in {form.kind} [{form.lo}, {form.hi}]", \
@@ -94,6 +115,9 @@ def _corpus_solved() -> tuple[tuple[str, Graph, SearchResult], ...]:
     for the suites that share it. The unpruned search starts its probes at
     ``n``, not at the order and diameter caps, so the sandwich row tests the
     caps rather than reading them back."""
+    from .corpus import build_corpus
+    from .solver import cooling_number
+
     return tuple((name, g, cooling_number(g, prune=False)) for name, g in build_corpus())
 
 
@@ -127,6 +151,8 @@ def suite_bounds_sandwich() -> SuiteReport:
 
 
 def suite_burning_cross() -> SuiteReport:
+    from .solver import burning_number, cooling_number
+
     results = [(name, g, burning_number(g).value, res.value)
                for name, g, res in _corpus_solved()]
 
@@ -156,6 +182,9 @@ def suite_burning_cross() -> SuiteReport:
 
 
 def suite_iso_smoothness() -> SuiteReport:
+    from .bounds import iso_profile_exact, iso_upper_bound
+    from .solver import cooling_number
+
     profiles = [(name, iso_profile_exact(g), res.value) for name, g, res in _corpus_solved()]
 
     def smooth_cases():
@@ -188,6 +217,8 @@ def suite_grid_window(max_n: int = 40) -> SuiteReport:
 
 
 def suite_grid_profile() -> SuiteReport:
+    from .bounds import grid_iso_profile, iso_profile_exact
+
     def cases():
         for n in (2, 3, 4):
             got = grid_iso_profile(n)
@@ -198,6 +229,9 @@ def suite_grid_profile() -> SuiteReport:
 
 
 def suite_grid_solver() -> SuiteReport:
+    from .solver import cooling_number
+    from .strategies import grid_simplicial_strategy
+
     def cases():
         for n in (2, 3, 4):
             rounds = grid_simplicial_strategy(n).num_rounds
@@ -208,6 +242,8 @@ def suite_grid_solver() -> SuiteReport:
 
 
 def suite_ilt() -> SuiteReport:
+    from .solver import SearchLimits, cooling_number, max_sequence_length
+
     limits = SearchLimits(max_nodes=32)
 
     def monotone_cases():
@@ -260,6 +296,9 @@ SPIDER_EXACT = {(1, 1): 2, (2, 2): 4, (2, 3): 6, (2, 1): 3, (3, 2): 5, (3, 3): 7
 
 
 def suite_spider() -> SuiteReport:
+    from .solver import cooling_number
+    from .strategies import FORMS, closed_form
+
     solved = {(m, r): cooling_number(FORMS["spider"].graph(m, r)).value for m, r in SPIDER_EXACT}
 
     def exact_cases():

@@ -475,14 +475,26 @@ class TestImportFootprint:
         # the grid window reads the isoperimetric bound, which needs no search
         ("strategy grid-simplicial --n 5", PARSE | {"graph_io", "engine", "ilt", "strategies",
                                                     "bounds"}),
-        ("verify path-formula", PARSE | {"engine", "solver", "ilt", "strategies", "bounds",
-                                         "corpus", "verify"}),
+        ("verify path-formula", PARSE | {"engine", "solver", "ilt", "strategies", "verify"}),
+        ("verify reference-traces", PARSE | {"engine", "ilt", "verify"}),
     ])
     def test_subcommand_loads_only_its_layers(self, tmp_path, argv, modules):
         write_graph(gen_path(5), tmp_path / "p5.json")
         out = fresh_python(self.RUN, *argv.split(), cwd=tmp_path).split()
         assert out[0] == "0"
         assert set(out[1:]) == {f"coolnum.{m}" for m in modules}
+
+    # dataclasses loads inspect, dis, ast and tokenize; solver.SearchResult
+    # and bounds.BoundsReport are the two records that still need it
+    @pytest.mark.parametrize("argv", ["--help", "gen path --n 4 --out g.json",
+                                      "strategy path-diameter --in p5.json",
+                                      "verify reference-traces"])
+    def test_subcommand_loads_no_dataclasses(self, tmp_path, argv):
+        write_graph(gen_path(5), tmp_path / "p5.json")
+        code = self.RUN + "\nprint('dataclasses' in sys.modules)"
+        out = fresh_python(code, *argv.split(), cwd=tmp_path).splitlines()
+        assert out[0].split()[0] == "0"
+        assert out[-1] == "False"
 
     def test_package_import_loads_no_submodule(self):
         code = "import coolnum, sys; print(sorted(m for m in sys.modules if 'coolnum' in m))"

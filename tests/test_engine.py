@@ -170,6 +170,14 @@ class TestScript:
             run_cooling(gen_path(7), Script([(1,), (0, 2, 1)]))
         assert (err.value.node, err.value.round) == (1, 2)
 
+    @pytest.mark.parametrize("entries", [[[0], []], repeat(iter([0]))],
+                             ids=["empty", "iterator-run-dry"])
+    def test_entry_without_a_node_is_rejected(self, entries):
+        with pytest.raises(InvalidSourceError,
+                           match="^round 2: script entry names no uncooled node$") as err:
+            run_cooling(gen_path(4), Script(entries))
+        assert (err.value.node, err.value.round) == (None, 2)
+
     def test_one_iterator_shared_by_every_round(self):
         # the skipped nodes stay cooled, so one pass over the order suffices
         order = [3, 0, 1, 2, 6, 4, 5]
@@ -294,6 +302,10 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match='^trace JSON must be an object with a "rounds" list$'):
             trace_from_json_obj([])
 
+    def test_no_round_rejected(self):
+        with pytest.raises(ValueError, match="^trace has no round$"):
+            trace_from_json_obj({"rounds": []})
+
     @pytest.mark.parametrize("obj, message", [
         ({"rounds": 5}, 'trace JSON must be an object with a "rounds" list'),
         ({"rounds": [{}]}, "trace rounds[0]: round must be an int"),
@@ -304,6 +316,32 @@ class TestTraceSerialization:
          "trace rounds[0]: source must be an int or null"),
     ])
     def test_malformed_round_rejected(self, obj, message):
+        with pytest.raises(ValueError) as err:
+            trace_from_json_obj(obj)
+        assert str(err.value) == message
+
+    def test_corpus_witnesses_round_trip(self, corpus_with_cl, tmp_path):
+        path = tmp_path / "trace.json"
+        for name, _, res in corpus_with_cl:
+            write_trace(res.witness, path)
+            assert read_trace(path) == res.witness, name
+
+    @pytest.mark.parametrize("rounds, message", [
+        # each run breaks one rule and keeps the others
+        ([(5, [], 0), (2, [1], None)], "trace rounds[0]: round 5 where 1 is due"),
+        ([(1, [], 0), (3, [1], None)], "trace rounds[1]: round 3 where 2 is due"),
+        ([(1, [], 0), (2, [-4], None)], "trace rounds[1]: node ids must be nonnegative"),
+        ([(1, [], -1)], "trace rounds[0]: node ids must be nonnegative"),
+        ([(1, [1], 0)], "trace rounds[0]: round 1 must spread to no node"),
+        ([(1, [], 0), (2, [1], None), (3, [2], None)],
+         "trace rounds[1]: only the last round may have no source"),
+        ([(1, [], 0), (2, [1], 1)], "trace rounds[1]: source 1 lies in its own spread"),
+        ([(1, [], 0), (2, [1, 0], None)], "trace rounds[1]: node 0 is cooled a second time"),
+        ([(1, [], 0), (2, [1], 0)], "trace rounds[1]: node 0 is cooled a second time"),
+    ])
+    def test_run_structure_checked(self, rounds, message):
+        obj = {"rounds": [{"round": t, "spread": spread, "source": source}
+                          for t, spread, source in rounds]}
         with pytest.raises(ValueError) as err:
             trace_from_json_obj(obj)
         assert str(err.value) == message

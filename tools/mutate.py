@@ -10,14 +10,16 @@ capacity bound and first round count in ``solver.py``, the orbit
 reduction, the vertex connectivity, ``build_graph``'s endpoint check and
 shared id objects and the BFS level step in ``graphs.py``, the grid's index
 arithmetic and shared id objects in ``generators.py``, the scripted pick
-and fallback and the seen flags of the round engine in ``engine.py``, and
-the bounds report's diameter, profile readout and recurrence step in
-``bounds.py``. It does so in a throwaway copy of the repo, then runs
-``tests/test_atlas.py`` (first: it kills about half the mutants in under
-2 s), ``tests/test_engine.py``, ``tests/test_graphs.py``,
-``tests/test_solver.py``, ``tests/test_properties.py``,
-``tests/test_strategies.py``, ``tests/test_acceptance.py`` and
-``tests/test_bounds.py`` with ``-x``.
+and fallback, the seen flags of the round engine and the trace loader's
+"cooled once" check in ``engine.py``, the bounds report's diameter,
+profile readout and recurrence step in ``bounds.py``, and the value
+semantics of ``Graph`` and ``verify.CheckRow``. It does so in a throwaway
+copy of the repo, then runs ``tests/test_atlas.py`` (first: it kills about
+half the mutants in under 2 s), ``tests/test_engine.py``,
+``tests/test_graphs.py``, ``tests/test_solver.py``,
+``tests/test_properties.py``, ``tests/test_strategies.py``,
+``tests/test_acceptance.py``, ``tests/test_bounds.py`` and
+``tests/test_records.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
 survival is expected; any other survivor means a rule the tests do not
@@ -46,8 +48,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
-         "tests/test_acceptance.py", "tests/test_bounds.py"]
-TIMEOUT_S = 300  # the eight files take about 15 s on a 2-core machine; the 62 mutants, 5 min
+         "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_records.py"]
+TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 65 mutants, 5 min
 
 
 @dataclass(frozen=True)
@@ -191,6 +193,24 @@ MUTANTS = [
            module="bounds.py"),
     Mutant("profile-bit-weight", "(1 << j, ~count[j])", "(j, ~count[j])", module="bounds.py"),
     Mutant("recurrence-step", "+ phi(xs[-1]) + 1)", "+ phi(xs[-1]) + 2)", module="bounds.py"),
+    # a trace read from JSON cools each node once
+    Mutant("trace-cooled-twice-kept",
+           "        elif not cooled.isdisjoint(cools):\n"
+           "            fault = f\"node {min(cooled.intersection(cools))} is cooled a second time\"\n",
+           "", module="engine.py"),
+    # the records: graphs are equal only with equal adjacency, and each check
+    # row has a failures list of its own
+    Mutant("graph-eq-order-only", "return self.n == other.n and self.adj == other.adj",
+           "return self.n == other.n", module="graphs.py"),
+    Mutant("checkrow-shared-failures",
+           "failures: list[str] | None = None):\n"
+           "        self.name = name\n"
+           "        self.instances = instances\n"
+           "        self.failures = [] if failures is None else failures\n",
+           "failures: list[str] = []):\n"
+           "        self.name = name\n"
+           "        self.instances = instances\n"
+           "        self.failures = failures\n", module="verify.py"),
 ]
 
 

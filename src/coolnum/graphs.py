@@ -144,35 +144,47 @@ class Graph:
         return _find_orbits(self)
 
     @cached_property
-    def connectivity(self) -> int:
-        """Vertex connectivity ``κ``: the fewest nodes whose removal leaves a
-        disconnected graph, ``n - 1`` for a complete graph and 0 for a
-        disconnected one; meant for graphs small enough to search.
+    def biconnected(self) -> bool:
+        """Whether the graph is connected and no single node's removal
+        disconnects it, as ``networkx.is_biconnected`` has it: ``K_1`` is not
+        and ``K_2`` is. So every separator of a biconnected graph holds at
+        least 2 nodes, and some separator of any other connected one holds 1.
 
-        Esfahanian and Hakimi (Networks 14, 1984): with ``v`` a node of least
-        degree, some minimum separator misses ``v`` or one of its
-        neighbours, so ``κ`` is the least local connectivity between ``v``
-        and each node not adjacent to it, or between two nonadjacent
-        neighbours of ``v``, if that is below ``v``'s degree. Each local
-        connectivity is counted only up to the least found so far, and a
-        connected graph stops at 1.
+        One depth-first search from node 0 with low links (Hopcroft and
+        Tarjan, CACM 16, 1973), kept on a stack, not the call stack:
+        ``low[v]`` is the least depth that an edge from ``v``'s subtree
+        reaches. A node ``u`` other than the root cuts off its tree child
+        ``v`` when ``low[v] >= depth[u]``; the tree edge back to ``u``
+        counts too, but reaches only ``depth[u]``, so the test reads the
+        same. The root is a cut vertex when it has two tree children.
         """
         n, adj = self.n, self.adj
-        if not self.is_connected:
-            return 0
-        v = min(range(n), key=self.degree)
-        best = len(adj[v])
-        if best == n - 1:
-            return best  # v is adjacent to every node, and so is every other node
-        nbrs = self.neighbor_masks
-        pairs = [(v, w) for w in range(n) if w != v and not nbrs[v] >> w & 1]
-        pairs += [(x, y) for i, x in enumerate(adj[v]) for y in adj[v][i + 1:]
-                  if not nbrs[x] >> y & 1]
-        for x, y in pairs:
-            if best == 1:
-                break
-            best = _local_connectivity(adj, x, y, best)
-        return best
+        if n < 2 or not self.is_connected:
+            return False
+        depth = [0] + [-1] * (n - 1)
+        low = [0] * n
+        stack = [(0, iter(adj[0]))]
+        children = 0  # the root's tree children
+        while stack:
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if depth[w] < 0:
+                    depth[w] = low[w] = depth[v] + 1
+                    stack.append((w, iter(adj[w])))
+                    break
+                if depth[w] < low[v]:
+                    low[v] = depth[w]
+            else:  # v's subtree is done
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    if u == 0:
+                        children += 1
+                    elif low[v] >= depth[u]:
+                        return False
+                    elif low[v] < low[u]:
+                        low[u] = low[v]
+        return children < 2
 
     def __repr__(self) -> str:  # keep pytest output short
         return f"Graph(n={self.n}, m={self.num_edges})"
@@ -212,6 +224,8 @@ def known_connected(g: Graph) -> Graph:
 
 def bfs_distances(g: Graph, v: int) -> list[int]:
     """Hop distances from ``v``; unreachable nodes get ``UNREACHABLE`` (-1)."""
+    if type(v) is not int:  # a bool or a float is no node id, even where it equals one
+        raise GraphError(f"start node {v!r} is not an int")
     if not (0 <= v < g.n):
         raise GraphError(f"start node {v} outside 0..{g.n - 1}")
     dist = [UNREACHABLE] * g.n
@@ -313,56 +327,6 @@ def diameter_sweep(g: Graph) -> tuple[int, int, int, list[int]]:
             visit(w)
     a = sweeps[0].index(max(sweeps[0]))
     return lb, end, a, sweeps[a]
-
-
-def _local_connectivity(adj: tuple[tuple[int, ...], ...], x: int, y: int, limit: int) -> int:
-    """The number of internally disjoint paths between the nonadjacent nodes
-    ``x`` and ``y``, counted up to ``limit``.
-
-    Unit-capacity augmenting paths (Menger) on the split graph: node ``v``
-    enters at ``2v`` and leaves at ``2v + 1`` through one unit arc, and an
-    edge ``vw`` gives the unit arcs ``2v + 1 -> 2w`` and ``2w + 1 -> 2v``.
-    A flow runs from ``x``'s exit to ``y``'s entry, so each path takes at
-    most one unit through any other node. It starts from the paths through
-    one common neighbour each.
-    """
-    flow: list[set[int]] = [set() for _ in range(2 * len(adj))]  # flow[a]: where a's units go
-    source, sink = 2 * x + 1, 2 * y
-    common = set(adj[x]).intersection(adj[y])
-    for c in common:
-        flow[source].add(2 * c)
-        flow[2 * c].add(2 * c + 1)
-        flow[2 * c + 1].add(sink)
-    for paths in range(len(common), limit):
-        parent = {source: source}
-        queue = [source]
-        for a in queue:  # breadth first over the residual arcs
-            v = a >> 1
-            if a & 1:  # an exit: on to each neighbour's entry, or back into v
-                steps = [2 * w for w in adj[v] if 2 * w not in flow[a]]
-                if a in flow[a - 1]:
-                    steps.append(a - 1)
-            else:  # an entry: through v, or back along an arc that enters it
-                steps = [2 * w + 1 for w in adj[v] if a in flow[2 * w + 1]]
-                if a + 1 not in flow[a]:
-                    steps.append(a + 1)
-            for b in steps:
-                if b not in parent:
-                    parent[b] = a
-                    queue.append(b)
-            if sink in parent:
-                break
-        else:
-            return paths
-        b = sink
-        while b != source:
-            a = parent[b]
-            if a in flow[b]:
-                flow[b].remove(a)
-            else:
-                flow[a].add(b)
-            b = a
-    return limit
 
 
 def _rank(sigs: list) -> list[int]:

@@ -33,12 +33,13 @@ stored that ``lo`` returned at the lowest-id child reaching ``lo - 1``.
 Pruning reads one table, and only where it cannot cut a branch that
 reaches the threshold, so every memo bound stays exact. From a key of
 ``a`` nodes at most ``most[a]`` rounds or sources remain, the paper's
-isoperimetric recurrence ``x_{i+1} = x_i + phi(x_i) + 1`` with the vertex
-connectivity ``kappa`` (:attr:`Graph.connectivity`) as the floor
-``phi(c) = min(kappa, n - c)``. The round that cools the key picks a
-source and leaves a boundary ``C`` of ``c = a + 1`` nodes. If ``N[C]``
-misses a node, its border ``N[C] - C`` separates ``C`` from that node and
-so holds at least ``kappa`` nodes; either way the child's key ``N[C]``
+isoperimetric recurrence ``x_{i+1} = x_i + phi(x_i) + 1`` with the floor
+``phi(c) = min(kappa, n - c)``, where ``kappa`` is any lower bound on the
+size of a separator: the search takes 2 on a biconnected graph
+(:attr:`Graph.biconnected`) and 1 otherwise. The round that cools the key
+picks a source and leaves a boundary ``C`` of ``c = a + 1`` nodes. If
+``N[C]`` misses a node, its border ``N[C] - C`` separates ``C`` from that
+node and so holds at least ``kappa`` nodes; either way the child's key ``N[C]``
 holds at least ``c + min(kappa, n - c)`` nodes. So ``most[a] = 1 +
 most[c + min(kappa, n - c)]`` for a boundary that is not full, while a
 full one ends the run, one round and one source. The last entry,
@@ -146,7 +147,7 @@ class SearchStats(NamedTuple):
     all of a state's children at once, by their eccentricity, and
     ``counting_cuts`` the calls it failed, by the size of the key or
     along its spread; the table is the counting bound where the
-    vertex connectivity is 1. A call failed along the spread forms the
+    graph is not biconnected. A call failed along the spread forms the
     state's vector but visits no child, so it counts there and not in
     ``expanded``.
     All four are 0 for burning, whose ``memo_hits`` counts its
@@ -183,9 +184,9 @@ _SOURCES = 0
 @cache
 def _gains(n: int, kappa: int, objective: int) -> tuple[int, ...]:
     """``most[a]``: the most rounds, or sources, that a run can still gain
-    from a key of ``a`` nodes on a connected graph of ``n`` nodes and vertex
-    connectivity ``kappa`` (the module docstring proves it). Built once per
-    ``(n, kappa, objective)``."""
+    from a key of ``a`` nodes on a connected graph of ``n`` nodes whose
+    every separator holds at least ``kappa`` nodes (the module docstring
+    proves it). Built once per ``(n, kappa, objective)``."""
     most = [1] * n + [objective]
     for a in range(n - 2, -1, -1):
         c = a + 1
@@ -207,8 +208,9 @@ class _MaxSearch:
         self.empty = (0,) * (self.top + 3)
         self.objective = objective
         self.prune = prune
-        # the unpruned reference cuts nothing, so it needs no connectivity
-        self.most = _gains(g.n, g.connectivity, objective) if prune else ()
+        # the floor on a separator: 2 once no single node separates; the
+        # unpruned reference cuts nothing, so it needs no floor
+        self.most = _gains(g.n, 2 if g.biconnected else 1, objective) if prune else ()
         self.deadline = deadline
         # per post-spread set: the objective is at least lo and at most hi,
         # and choice is the lowest-id child that reaches lo

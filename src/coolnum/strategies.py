@@ -85,7 +85,7 @@ def closed_form(family: str, params: Mapping[str, int]) -> ClosedForm:
     """Certified cooling-number value or window for a family of :data:`FORMS`.
 
     Raises ``GraphError`` when ``params`` does not name exactly the family's
-    parameters or one is below its least allowed value, and
+    parameters, or one is not an ``int`` or is below its least allowed value, and
     ``StrategyError`` for a family the table does not hold.
     """
     row = FORMS.get(family)
@@ -96,6 +96,9 @@ def closed_form(family: str, params: Mapping[str, int]) -> ClosedForm:
     if sorted(p) != sorted(names):
         got = ", ".join(sorted(p)) or "none"
         raise GraphError(f"{family} forms take {', '.join(names)}, got {got}")
+    for name in names:  # a bool or a float is no parameter, even where it equals one
+        if type(p[name]) is not int:
+            raise GraphError(f"{family} forms take an int {name}, got {p[name]!r}")
     if not row.admits(p):
         need = " and ".join(f"{name} >= {least}" for name, least in row.params)
         got = ", ".join(f"{name}={p[name]}" for name, _ in row.params)

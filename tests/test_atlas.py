@@ -3,9 +3,9 @@ inside ``networkx`` (``graph_atlas_g()`` reads the package's own data file).
 
 The solvers and ``bounds_report`` are checked on all 996 of them against the
 solver-free oracles of ``conftest``, and the paper's two upper caps on the
-cooling number are counted where they are met. ``Graph.connectivity``, which
-the cooling search cuts by, is checked against ``networkx`` on them and on
-larger families and random graphs.
+cooling number are counted where they are met. ``Graph.biconnected``, the
+floor the cooling search cuts by, is checked against ``networkx`` on them and
+on larger families and random graphs.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ def hypercube(d):
 def test_connectivity_matches_networkx(atlas, corpus):
     rng = random.Random(41)
     graphs = [g for _, g in atlas] + [g for _, g in corpus]
-    for _ in range(80):  # disconnected ones too, whose connectivity is 0
+    for _ in range(80):  # disconnected ones too, whose vertex connectivity is 0
         n, p = rng.randrange(2, 41), rng.choice((0.05, 0.1, 0.2, 0.35, 0.5, 0.8))
         graphs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                                       if rng.random() < p]))
@@ -91,6 +91,7 @@ def test_connectivity_matches_networkx(atlas, corpus):
     for g in graphs:
         h = nx.Graph(list(g.edges()))
         h.add_nodes_from(range(g.n))
-        assert g.connectivity == nx.node_connectivity(h), g.adj
-        kappas[g.connectivity] += 1
+        assert g.biconnected == nx.is_biconnected(h), g.adj
+        kappas[nx.node_connectivity(h)] += 1
+    # so the inputs run from disconnected graphs to vertex connectivity 7
     assert set(kappas) >= set(range(8)), kappas

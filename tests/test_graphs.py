@@ -187,6 +187,15 @@ class TestDistances:
         with pytest.raises(GraphError, match=r"^start node 4 outside 0\.\.3$"):
             bfs_distances(g, g.n)
 
+    @pytest.mark.parametrize("start, shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")])
+    def test_start_node_that_is_not_an_int_rejected(self, start, shown):
+        # True equals node 1 and 1.0 equals node 1, but neither is a node id
+        g = gen_path(4)
+        for measure in (bfs_distances, eccentricity):
+            with pytest.raises(GraphError) as err:
+                measure(g, start)
+            assert str(err.value) == f"start node {shown} is not an int"
+
     def test_every_row_matches_networkx(self):
         # random edges alone leave the sparse draws in several components
         rng = random.Random(37)
@@ -445,6 +454,40 @@ class TestOrbits:
     def test_orbits_are_cached(self):
         g = gen_grid(4)
         assert g.orbits is g.orbits
+
+
+class TestBiconnected:
+    """``Graph.biconnected``, the cooling search's floor on a separator."""
+
+    def test_small_and_disconnected(self):
+        assert not build_graph(0, []).biconnected
+        assert not build_graph(1, []).biconnected
+        assert build_graph(2, [(0, 1)]).biconnected  # K_2, as networkx has it
+        assert not build_graph(3, [(0, 1)]).biconnected
+        assert not build_graph(4, [(0, 1), (2, 3)]).biconnected
+
+    def test_cut_vertex_at_the_root(self):
+        # two triangles sharing node 0, where the search starts
+        g = build_graph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 4), (4, 0)])
+        assert not g.biconnected
+        assert build_graph(5, [*g.edges(), (2, 3)]).biconnected
+
+    def test_cut_vertex_deep_in_the_tree(self):
+        # a 4-cycle 0-1-2-3 with a triangle 2-4-5 hung at node 2, two levels
+        # below the root; an edge from the triangle back to node 0 joins them
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 2)]
+        assert not build_graph(6, edges).biconnected
+        assert build_graph(6, edges + [(5, 0)]).biconnected
+
+    def test_long_path_and_cycle_need_no_recursion(self):
+        assert not gen_path(5000).biconnected
+        assert gen_cycle(5000).biconnected
+
+    def test_biconnected_is_cached(self):
+        g = gen_grid(4)
+        assert "biconnected" not in vars(g)
+        assert g.biconnected is g.biconnected is True
+        assert "biconnected" in vars(g)
 
 
 class TestBalls:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import sys
@@ -25,6 +26,28 @@ from coolnum.solver import (
 
 def complete_graph(n):
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+@lru_cache(maxsize=None)
+def vertex_connectivity(g):
+    """The fewest nodes whose removal disconnects ``g``, ``n - 1`` for a
+    complete graph, by trying every set of nodes from the smallest up."""
+    masks, full = g.neighbor_masks, (1 << g.n) - 1
+    for k in range(g.n - 1):
+        for cut in itertools.combinations(range(g.n), k):
+            rest = full & ~sum(1 << v for v in cut)
+            reach = rest & -rest
+            while True:  # flood from the lowest node left
+                grown = reach
+                for v in range(g.n):
+                    if reach >> v & 1:
+                        grown |= masks[v]
+                if grown & rest == reach:
+                    break
+                reach = grown & rest
+            if reach != rest:
+                return k
+    return g.n - 1
 
 
 def all_roots(g, objective):
@@ -139,13 +162,18 @@ class TestCoolingNumber:
                     assert a.witness == b.witness, (solve.__name__, g.adj)
 
     def test_no_prune_matches_on_dense_graphs(self):
-        # the gain table cuts by the vertex connectivity, which is 1 on most
-        # corpus graphs; these dense random graphs reach 9
+        # the gain table cuts by a floor on every separator, 2 on a
+        # biconnected graph and 1 otherwise, which is 1 on most corpus
+        # graphs; these dense random graphs reach vertex connectivity 9
         rng = random.Random(59)
         kappas = set()
         for _ in range(40):
             g = random_connected_graph(rng, rng.randrange(8, 13), rng.choice([0.5, 0.7, 0.9]))
-            kappas.add(g.connectivity)
+            kappa = vertex_connectivity(g)
+            kappas.add(kappa)
+            for objective in (solver._ROUNDS, solver._SOURCES):
+                assert solver._MaxSearch(g, objective, True, None).most == solver._gains(
+                    g.n, min(kappa, 2), objective), g.adj
             for solve in (cooling_number, max_sequence_length):
                 a = solve(g)
                 b = solve(g, prune=False)
@@ -331,9 +359,9 @@ class TestPinnedWork:
         assert (stats.expanded, stats.ecc_cuts, stats.counting_cuts) == (8, 0, 4)
 
     def test_cycle60(self):
-        # 52,959 states when the counting bound alone cut calls; at
-        # connectivity 2 the table's root entry is the cycle's value, so
-        # every probe above it is cut at the root
+        # 52,959 states when the counting bound alone cut calls; at the
+        # floor 2 of a biconnected graph the table's root entry is the
+        # cycle's value, so every probe above it is cut at the root
         res = cooling_number(gen_cycle(60), SearchLimits(max_nodes=60))
         s = res.stats
         assert (res.value, s.expanded, s.memo_hits, s.ecc_cuts, s.counting_cuts) == (
@@ -900,7 +928,7 @@ class TestGainTable:
                    for _ in range(20)]
         for g in graphs:
             for objective in (solver._ROUNDS, solver._SOURCES):
-                most = solver._gains(g.n, g.connectivity, objective)
+                most = solver._gains(g.n, vertex_connectivity(g), objective)
                 search = solver._MaxSearch(g, objective, False, None)
                 search.solve(search.full)
                 for key in list(search.memo):
@@ -916,7 +944,7 @@ class TestGainTable:
             a = key.bit_count()
             assert value <= most[a], (g.adj, objective, key)
             if value == most[a] and a < g.n - 1:
-                met.add((g.connectivity, objective))
+                met.add((vertex_connectivity(g), objective))
         assert met >= {(k, obj) for k in range(1, 5) for obj in (solver._ROUNDS, solver._SOURCES)}
 
     def test_sound_along_the_spread_and_sharper(self, corpus):

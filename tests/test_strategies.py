@@ -461,6 +461,18 @@ class TestClosedForm:
             closed_form(family, params)
         assert str(err.value) == f"{family} forms take {names}, got {got}"
 
+    @pytest.mark.parametrize("family, params, shown", [
+        ("spider", {"m": True, "r": 1}, "m, got True"),
+        ("spider", {"m": 1.5, "r": 2}, "m, got 1.5"),
+        ("spider", {"m": 2, "r": 3.0}, "r, got 3.0"),
+        ("grid", {"n": "5"}, "n, got '5'"),
+    ])
+    def test_parameters_must_be_ints(self, family, params, shown):
+        # True equals 1 and 3.0 equals 3, but neither is a parameter
+        with pytest.raises(GraphError) as err:
+            closed_form(family, params)
+        assert str(err.value) == f"{family} forms take an int {shown}"
+
     @pytest.mark.parametrize("kind, lo, hi, message", [
         ("window", 5, 4, "empty window [5, 4]"),
         ("window", 5, None, "empty window [5, None]"),

@@ -2,12 +2,12 @@
 
 Each mutant replaces one exact snippet of one module under ``src/coolnum``
 (a single token or operand where possible): the cooling search's key,
-carried vector, gain table with its objective's end and its reading by the
-key's size, along that vector and for all children at once (the cut
-radius, the cut mask and its count), memo bounds, first probe and the
-witness walk's key and vector, and the burning search's radius order,
+carried vector, gain table with its floor, its objective's end and its
+reading by the key's size, along that vector and for all children at once
+(the cut radius, the cut mask and its count), memo bounds, first probe and
+the witness walk's key and vector, and the burning search's radius order,
 capacity bound and first round count in ``solver.py``, the orbit
-reduction, the vertex connectivity, ``build_graph``'s endpoint check and
+reduction, the cut-vertex search, ``build_graph``'s endpoint check and
 shared id objects and the BFS level step in ``graphs.py``, the grid's index
 arithmetic and shared id objects in ``generators.py``, the scripted pick
 and fallback, the seen flags of the round engine and the trace loader's
@@ -49,7 +49,7 @@ PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
          "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_records.py"]
-TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 65 mutants, 5 min
+TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 68 mutants, 5 min
 
 
 @dataclass(frozen=True)
@@ -98,12 +98,17 @@ MUTANTS = [
     Mutant("spread-failure-not-stored",
            "self.counting_cuts += 1\n                    self.memo[key] = (lo, t - 1, choice)",
            "self.counting_cuts += 1"),
-    # the vertex connectivity the table reads: the local connectivities can
-    # lower it below the least degree, and each counts its last path
-    Mutant("kappa-least-degree", "best = _local_connectivity(adj, x, y, best)", "best = best",
+    # the floor the table reads, 2 on a biconnected graph: a root is a cut
+    # vertex at two tree children, a node below it when a child's subtree
+    # reaches no higher than the node, and every edge out of a subtree,
+    # passed up to its parent, counts towards its low link
+    Mutant("floor-always-one", "2 if g.biconnected else 1", "1"),
+    Mutant("dfs-root-one-child", "return children < 2", "return children < 1",
            module="graphs.py"),
-    Mutant("kappa-path-short", "for paths in range(len(common), limit):",
-           "for paths in range(len(common), limit - 1):", module="graphs.py"),
+    Mutant("dfs-low-strict", "elif low[v] >= depth[u]:", "elif low[v] > depth[u]:",
+           module="graphs.py"),
+    Mutant("dfs-back-edge-skipped", "if depth[w] < low[v]:", "if False:", module="graphs.py"),
+    Mutant("dfs-low-not-passed-up", "elif low[v] < low[u]:", "elif False:", module="graphs.py"),
     # the carried vector: a child's radius j is its parent's radius j + 1,
     # in the search and on the witness walk
     Mutant("vector-shift", "near = (*map(or_, up[1:], ball[1:]),)",

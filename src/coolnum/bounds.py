@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import AbstractSet, Callable, NamedTuple
 
-from .generators import gen_grid, simplicial_order
+from .generators import check_grid_side, gen_grid, simplicial_order
 from .graphs import DisconnectedGraphError, Graph, GraphError, GraphTooLargeError, diameter
 
 DEFAULT_PROFILE_CAP = 16
@@ -213,8 +213,7 @@ def grid_iso_upper_bound(n: int) -> IsoUpperBound:
     sizes, so the diagonal only moves forward and the whole bound costs
     ``O(n)``.
     """
-    if n < 1:
-        raise GraphError(f"grid needs n >= 1, got {n}")
+    check_grid_side(n)
     s, before = 2, 0  # diagonal holding cell x + 1; cells on earlier diagonals
 
     def phi(x: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, GraphError, build_graph, known_connected
+from .graphs import Graph, GraphError, build_graph, check_int, known_connected
 
 
 class GridCoord(NamedTuple):
@@ -30,6 +30,8 @@ class GridCoord(NamedTuple):
 def grid_node(coord: GridCoord | tuple[int, int], n: int) -> int:
     """Map a 1-indexed grid coordinate to its node id in ``gen_grid(n)``."""
     row, col = coord
+    for x in (row, col, n):
+        check_int(x, "grid coordinate or side")
     if not (1 <= row <= n and 1 <= col <= n):
         raise GraphError(f"coordinate {(row, col)} outside 1..{n}")
     return (row - 1) * n + (col - 1)
@@ -37,9 +39,18 @@ def grid_node(coord: GridCoord | tuple[int, int], n: int) -> int:
 
 def grid_coord(v: int, n: int) -> GridCoord:
     """Inverse of :func:`grid_node`."""
+    check_int(v, "grid node")
+    check_int(n, "grid side")
     if not (0 <= v < n * n):
         raise GraphError(f"node {v} outside 0..{n * n - 1}")
     return GridCoord(v // n + 1, v % n + 1)
+
+
+def check_grid_side(n: int) -> None:
+    """Refuse a grid side that is not an ``int`` of at least 1."""
+    check_int(n, "grid side")
+    if n < 1:
+        raise GraphError(f"grid needs n >= 1, got {n}")
 
 
 def simplicial_key(coord: GridCoord | tuple[int, int]) -> tuple[int, int]:
@@ -61,8 +72,7 @@ def simplicial_order(n: int) -> list[int]:
     down to row ``min(n, s - 1)``; one row down is one column left, so its
     ids step by ``n - 1``.
     """
-    if n < 1:
-        raise GraphError(f"grid needs n >= 1, got {n}")
+    check_grid_side(n)
     if n == 1:
         return [0]
     step = n - 1
@@ -75,12 +85,14 @@ def simplicial_order(n: int) -> list[int]:
 
 
 def gen_path(n: int) -> Graph:
+    check_int(n, "path length")
     if n < 1:
         raise GraphError(f"path needs n >= 1, got {n}")
     return known_connected(build_graph(n, [(i, i + 1) for i in range(n - 1)]))
 
 
 def gen_cycle(n: int) -> Graph:
+    check_int(n, "cycle length")
     if n < 3:
         raise GraphError(f"cycle needs n >= 3, got {n}")
     edges = [(i, i + 1) for i in range(n - 1)]
@@ -97,8 +109,7 @@ def gen_grid(n: int) -> Graph:
     is taken from one list ``ids``, so each id is one int object (see
     :class:`~coolnum.graphs.Graph`).
     """
-    if n < 1:
-        raise GraphError(f"grid needs n >= 1, got {n}")
+    check_grid_side(n)
     if n == 1:
         return known_connected(Graph(1, ((),)))
     ids = list(range(n * n))
@@ -129,6 +140,7 @@ def gen_complete_caterpillar(d: int) -> Graph:
 
     Has ``2d - 2`` nodes in total.
     """
+    check_int(d, "spine length")
     if d < 3:
         raise GraphError(f"complete caterpillar needs d >= 3, got {d}")
     edges = [(i, i + 1) for i in range(d - 1)]
@@ -139,6 +151,8 @@ def gen_complete_caterpillar(d: int) -> Graph:
 
 def gen_spider(legs: int, r: int) -> Graph:
     """Spider with ``legs`` legs of ``r`` nodes each hanging off head node 0."""
+    check_int(legs, "leg count")
+    check_int(r, "leg length")
     if legs < 1:
         raise GraphError(f"spider needs legs >= 1, got {legs}")
     if r < 1:

@@ -6,16 +6,15 @@ this package operate on the :class:`Graph` defined here.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cached_property
 from itertools import accumulate
 from operator import add, or_
 from typing import Iterable, Iterator
 
 UNREACHABLE = -1
-# colour refinements the orbit search may spend per node; past this budget
-# the nodes not yet merged stay as their own orbits
-_ORBIT_REFINEMENTS_PER_NODE = 4
+# placements the orbit search may spend per node; past this budget the
+# nodes not yet merged stay as their own orbits
+_ORBIT_STEPS_PER_NODE = 64
 
 
 class GraphError(ValueError):
@@ -136,10 +135,10 @@ class Graph:
         """For each node, the lowest id of its automorphism orbit, as far as
         the bounded search found it; meant for graphs small enough to search.
 
-        Two nodes share an entry only when an automorphism mapping one to the
-        other was checked edge by edge (or they are twins, which a
-        transposition swaps). An orbit the search misses stays split, so a
-        caller that searches one node per entry loses only speed.
+        Two nodes share an entry only when the search built an automorphism
+        mapping one to the other (or they are twins, which a transposition
+        swaps). An orbit the search misses stays split, so a caller that
+        searches one node per entry loses only speed.
         """
         return _find_orbits(self)
 
@@ -198,6 +197,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     required. The neighbour sets hold ``ids[v]``, not the endpoint itself, so
     that each id is one object however the edge list made its ints.
     """
+    check_int(n, "node count")
     if n < 0:
         raise GraphError(f"node count must be nonnegative, got {n}")
     ids = list(range(n))
@@ -215,6 +215,12 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
 
 
+def check_int(value: object, what: str) -> None:
+    """Refuse ``value`` unless it is an ``int``; a bool or a float equal to one is not."""
+    if type(value) is not int:
+        raise GraphError(f"{what} {value!r} is not an int")
+
+
 def known_connected(g: Graph) -> Graph:
     """``g`` with ``is_connected`` preset to true, for a generator whose
     graphs are connected by construction, so no caller pays its BFS."""
@@ -224,8 +230,7 @@ def known_connected(g: Graph) -> Graph:
 
 def bfs_distances(g: Graph, v: int) -> list[int]:
     """Hop distances from ``v``; unreachable nodes get ``UNREACHABLE`` (-1)."""
-    if type(v) is not int:  # a bool or a float is no node id, even where it equals one
-        raise GraphError(f"start node {v!r} is not an int")
+    check_int(v, "start node")
     if not (0 <= v < g.n):
         raise GraphError(f"start node {v} outside 0..{g.n - 1}")
     dist = [UNREACHABLE] * g.n
@@ -329,48 +334,19 @@ def diameter_sweep(g: Graph) -> tuple[int, int, int, list[int]]:
     return lb, end, a, sweeps[a]
 
 
-def _rank(sigs: list) -> list[int]:
-    """Number each signature by its rank among the distinct ones."""
-    rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-    return [rank[sig] for sig in sigs]
-
-
-def _refine(adj: tuple[tuple[int, ...], ...], colours: list[int]) -> list[int]:
-    """Colour refinement (1-WL) of ``colours`` to a stable colouring.
-
-    Each pass recolours a node by its colour and the sorted colours of its
-    neighbours, numbered by rank, so labels never depend on node ids: an
-    isomorphism between two input colourings maps the refined ones onto each
-    other too.
-    """
-    while True:
-        refined = _rank([(colours[v], tuple(sorted(colours[w] for w in adj[v])))
-                         for v in range(len(adj))])
-        if len(set(refined)) == len(set(colours)):
-            return refined
-        colours = refined
-
-
-def _individualize(adj: tuple[tuple[int, ...], ...], colours: list[int], v: int) -> list[int]:
-    """``colours`` with ``v`` given a colour of its own, refined."""
-    colours = list(colours)
-    colours[v] = -1
-    return _refine(adj, colours)
-
-
 def _find_orbits(g: Graph) -> tuple[int, ...]:
-    """Automorphism orbits by twins, then individualization and refinement.
+    """Automorphism orbits by twins, then a bounded backtracking search.
 
     Twins (equal open or closed neighbourhoods) merge outright. Then each
-    node is tested against the lower roots of its refined colour class: one
-    side individualizes the lowest node of the first non-singleton cell, the
-    other each node of the matching cell in turn, until the colourings are
-    discrete and pair the nodes into a permutation. A permutation that maps
-    every edge onto an edge merges all its cycles. After
-    ``_ORBIT_REFINEMENTS_PER_NODE * n`` refinements the search stops.
+    node ``v`` is tried against each lower root ``u`` with its signature,
+    the sorted row of its distances, which every automorphism keeps: a
+    search places the nodes by distance from ``u``, the unreachable ones
+    last, ``u`` on ``v`` and each other node on a neighbour of the image of
+    a placed neighbour (on any node if none is placed), and backtracks on a
+    list, not the call stack. Each automorphism found merges all its
+    cycles. After ``_ORBIT_STEPS_PER_NODE * n`` placements the search stops.
     """
     n, adj, masks = g.n, g.adj, g.neighbor_masks
-    edges = list(g.edges())
     root = list(range(n))  # union-find; each set's root is its lowest id
 
     def find(v: int) -> int:
@@ -382,45 +358,54 @@ def _find_orbits(g: Graph) -> tuple[int, ...]:
         u, v = find(u), find(v)
         root[max(u, v)] = min(u, v)
 
-    def extend(left: list[int], right: list[int]) -> list[int] | None:
-        """An automorphism carrying each ``left`` colour to the same ``right`` colour."""
-        nonlocal budget
-        if sorted(left) != sorted(right):
-            return None
-        cell = min((c for c, k in Counter(left).items() if k > 1), default=None)
-        if cell is None:  # discrete: each colour names one node on each side
-            at = {c: w for w, c in enumerate(right)}
-            perm = [at[c] for c in left]
-            return perm if all(masks[perm[u]] >> perm[v] & 1 for u, v in edges) else None
-        budget -= 1
-        narrowed = _individualize(adj, left, left.index(cell))
-        for w in range(n):
-            if right[w] == cell and budget > 0:
-                budget -= 1
-                perm = extend(narrowed, _individualize(adj, right, w))
-                if perm is not None:
-                    return perm
-        return None
-
     for key in (lambda v: adj[v], lambda v: frozenset(adj[v]) | {v}):
         first: dict = {}
         for v in range(n):
             merge(first.setdefault(key(v), v), v)
 
-    budget = _ORBIT_REFINEMENTS_PER_NODE * n
-    base = _refine(adj, _rank([tuple(sorted(row)) for row in g.distances]))
-    cells: dict[int, list[int]] = {}
+    ids: dict[tuple[int, ...], int] = {}
+    sig = [ids.setdefault(tuple(sorted(row)), len(ids)) for row in g.distances]
+    plans: dict[int, list[tuple[int, list[int]]]] = {}
+    budget = _ORBIT_STEPS_PER_NODE * n
+
+    def send(u: int, v: int) -> list[int] | None:
+        """An automorphism sending ``u`` to ``v``; None if none is found in the budget."""
+        nonlocal budget
+        if u not in plans:  # the nodes in placing order, each with its placed neighbours
+            dist = g.distances[u]
+            order = sorted(range(n), key=lambda x: (dist[x] == UNREACHABLE, dist[x]))
+            at = {x: i for i, x in enumerate(order)}
+            plans[u] = [(x, [y for y in adj[x] if at[y] < at[x]]) for x in order]
+        steps = plans[u]
+        image, used = [v] * n, 1 << v
+        tries: list = [None] * n  # per position, its untried candidates
+        i = 1  # the position being placed
+        while 0 < i < n and budget > 0:
+            x, nbrs = steps[i]
+            if tries[i] is None:
+                tries[i] = iter(adj[image[nbrs[0]]] if nbrs else range(n))
+            # w's placed neighbours are the images of x's, so every pair of
+            # placed nodes keeps its edge or non-edge, and a complete map is
+            # an automorphism with no edge pass of its own
+            seen = sum(1 << image[y] for y in nbrs)
+            w = next((w for w in tries[i]
+                      if not used >> w & 1 and sig[w] == sig[x] and masks[w] & used == seen), None)
+            if w is None:
+                tries[i] = None
+                i -= 1
+                used ^= 1 << image[steps[i][0]]
+            else:
+                budget -= 1
+                image[x] = w
+                used |= 1 << w
+                i += 1
+        return image if i == n else None
+
     for v in range(n):
-        cells.setdefault(base[v], []).append(v)
-    for cell in cells.values():
-        for i, b in enumerate(cell):
-            for a in cell[:i]:
-                if find(b) != b or budget <= 0:
-                    break
-                if find(a) == a:
-                    budget -= 2
-                    perm = extend(_individualize(adj, base, a), _individualize(adj, base, b))
-                    if perm is not None:
-                        for v, w in enumerate(perm):
-                            merge(v, w)
+        for u in range(v):
+            if budget <= 0 or find(v) != v:
+                break
+            if sig[u] == sig[v] and find(u) == u and (perm := send(u, v)):
+                for x, w in enumerate(perm):
+                    merge(x, w)
     return tuple(find(v) for v in range(n))

@@ -183,6 +183,14 @@ class TestGridIsoUpperBound:
         with pytest.raises(GraphError):
             grid_iso_upper_bound(0)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "3"], ids=["float", "whole-float", "bool", "str"])
+    def test_non_int_rejected(self, n):
+        # 2.5 gave IsoUpperBound(value=3, trajectory=(1, 4, 7.0))
+        with pytest.raises(GraphError, match=r"^grid side .* is not an int$"):
+            grid_iso_upper_bound(n)
+        with pytest.raises(GraphError, match=r"^grid side .* is not an int$"):
+            grid_iso_profile(n)
+
 
 class TestBoundsReport:
     def test_p11_pins_the_value(self):

@@ -18,6 +18,7 @@ from coolnum.generators import (
     gen_spider,
     grid_coord,
     grid_node,
+    simplicial_order,
 )
 from coolnum.graph_io import read_graph, write_graph
 from coolnum.graphs import (
@@ -141,6 +142,16 @@ class TestBuildGraph:
         with pytest.raises(GraphError) as err:
             build_graph(2, [edge])
         assert str(err.value) == f"edge {shown} has an endpoint that is not an int"
+
+    @pytest.mark.parametrize("n", [2.0, True, "3"], ids=["float", "bool", "str"])
+    def test_non_int_node_count_rejected(self, n):
+        # True and 2.0 compare as counts, but neither is one
+        with pytest.raises(GraphError) as err:
+            build_graph(n, [])
+        assert str(err.value) == f"node count {n!r} is not an int"
+        with pytest.raises(GraphError) as err:
+            gen_grid(n)
+        assert str(err.value) == f"grid side {n!r} is not an int"
 
     def test_adjacency_symmetric_and_sorted(self):
         g = build_graph(5, [(3, 1), (4, 0), (1, 0), (2, 4)])
@@ -323,6 +334,19 @@ class TestGenerators:
         with pytest.raises(GraphError):
             gen(*args)
 
+    @pytest.mark.parametrize("gen,args", [
+        (gen_path, (True,)),
+        (gen_path, (2.0,)),
+        (gen_cycle, (4.0,)),
+        (gen_grid, ("3",)),
+        (gen_complete_caterpillar, (4.0,)),
+        (gen_spider, (2.0, 1)),
+        (gen_spider, (2, True)),
+    ])
+    def test_parameters_must_be_ints(self, gen, args):
+        with pytest.raises(GraphError, match="is not an int$"):
+            gen(*args)
+
     @pytest.mark.parametrize("gen", [
         gen_path, gen_grid, lambda k: gen_cycle(k + 2), lambda k: gen_complete_caterpillar(k + 2),
         lambda k: gen_spider(k, 1), lambda k: gen_spider(1, k), lambda k: gen_spider(k, k),
@@ -387,6 +411,18 @@ class TestGridCoords:
         with pytest.raises(GraphError):
             grid_coord(9, 3)
 
+    @pytest.mark.parametrize("call", [
+        lambda: grid_coord(1.0, 3), lambda: grid_coord(True, 3), lambda: grid_coord(1, 3.0),
+        lambda: grid_node((1.0, 2), 3), lambda: grid_node((1, True), 3),
+        lambda: grid_node((1, 2), 3.0), lambda: simplicial_order(2.0),
+        lambda: simplicial_order(True),
+    ], ids=["coord-float", "coord-bool", "coord-side", "node-row", "node-col", "node-side",
+            "order-float", "order-bool"])
+    def test_non_int_rejected(self, call):
+        # grid_coord(1.0, 3) returned GridCoord(1.0, 2.0), and grid_node((1.0, 2), 3) 1.0
+        with pytest.raises(GraphError, match="is not an int$"):
+            call()
+
 
 class TestOrbits:
     def small_graphs(self):
@@ -410,8 +446,8 @@ class TestOrbits:
             assert g.orbits == orbits_by_backtracking(g), name
 
     def test_unions_of_two_cycles_match_the_exact_partition(self):
-        # near-regular graphs: refinement seldom splits a class, so the search
-        # meets candidate permutations that fail the edge check
+        # near-regular graphs: distance signatures seldom tell their nodes
+        # apart, so the search meets placements that fail and backtracks
         rng = random.Random(13)
         for _ in range(300):
             n = rng.randrange(6, 11)
@@ -435,6 +471,33 @@ class TestOrbits:
                     perm = automorphism_sending(g, low, v)
                     assert perm is not None and is_automorphism(g, perm), (g, low, v)
 
+    @pytest.mark.parametrize("make,count", [
+        (nx.petersen_graph, 1),
+        # Shrikhande and the 4x4 rook's graph are both SRG(16, 6, 2, 2), so
+        # every node has the same sorted distance row
+        (lambda: nx.Graph([((a, b), ((a + x) % 4, (b + y) % 4)) for a in range(4)
+                           for b in range(4) for x, y in ((1, 0), (0, 1), (1, 1))]), 1),
+        (lambda: nx.cartesian_product(nx.complete_graph(4), nx.complete_graph(4)), 1),
+        (lambda: nx.hypercube_graph(5), 1),
+        (lambda: nx.grid_2d_graph(6, 6, periodic=True), 1),
+        (lambda: nx.grid_graph(dim=[4, 4, 4]), 4),
+    ], ids=["petersen", "shrikhande", "rook4x4", "Q5", "torus6x6", "grid4x4x4"])
+    def test_large_stabilisers(self, make, count):
+        # vertex-transitive graphs, and a grid, whose automorphisms fixing a
+        # node are many: the first candidate for a node can be wrong
+        h = nx.convert_node_labels_to_integers(make())
+        g = build_graph(h.number_of_nodes(), list(h.edges()))
+        assert len(set(g.orbits)) == count
+        for v, low in enumerate(g.orbits):
+            if low != v:
+                perm = automorphism_sending(g, low, v)
+                assert perm is not None and is_automorphism(g, perm), (low, v)
+
+    def test_long_path_and_cycle_need_no_recursion(self):
+        n = 1200  # past the default recursion limit
+        assert gen_path(n).orbits == tuple(min(v, n - 1 - v) for v in range(n))
+        assert gen_cycle(n).orbits == (0,) * n
+
     def test_family_orbit_counts(self):
         assert set(gen_cycle(24).orbits) == {0}
         assert sorted(set(gen_grid(6).orbits)) == [0, 1, 2, 7, 8, 14]
@@ -443,7 +506,7 @@ class TestOrbits:
         assert len(set(frucht_graph().orbits)) == 12
 
     def test_twins_merge_without_search(self, monkeypatch):
-        monkeypatch.setattr(graphs, "_ORBIT_REFINEMENTS_PER_NODE", 0)
+        monkeypatch.setattr(graphs, "_ORBIT_STEPS_PER_NODE", 0)
         star = gen_spider(5, 1)
         assert star.orbits == (0, 1, 1, 1, 1, 1)
         complete = build_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])

@@ -7,19 +7,19 @@ reading by the key's size, along that vector and for all children at once
 (the cut radius, the cut mask and its count), memo bounds, first probe and
 the witness walk's key and vector, and the burning search's radius order,
 capacity bound and first round count in ``solver.py``, the orbit
-reduction, the cut-vertex search, ``build_graph``'s endpoint check and
-shared id objects and the BFS level step in ``graphs.py``, the grid's index
-arithmetic and shared id objects in ``generators.py``, the scripted pick
-and fallback, the seen flags of the round engine and the trace loader's
-"cooled once" check in ``engine.py``, the bounds report's diameter,
-profile readout and recurrence step in ``bounds.py``, and the value
-semantics of ``Graph`` and ``verify.CheckRow``. It does so in a throwaway
-copy of the repo, then runs ``tests/test_atlas.py`` (first: it kills about
-half the mutants in under 2 s), ``tests/test_engine.py``,
-``tests/test_graphs.py``, ``tests/test_solver.py``,
-``tests/test_properties.py``, ``tests/test_strategies.py``,
-``tests/test_acceptance.py``, ``tests/test_bounds.py`` and
-``tests/test_records.py`` with ``-x``.
+search's twin keys, placement test and backtracking, the cut-vertex
+search, ``build_graph``'s endpoint check and shared id objects and the BFS
+level step in ``graphs.py``, the grid's index arithmetic and shared id
+objects in ``generators.py``, the scripted pick and fallback, the seen
+flags of the round engine and the trace loader's "cooled once" check in
+``engine.py``, the bounds report's diameter, profile readout and
+recurrence step in ``bounds.py``, and the value semantics of ``Graph`` and
+``verify.CheckRow``. It does so in a throwaway copy of the repo, then runs
+``tests/test_atlas.py`` (first: it kills about half the mutants in under
+2 s), ``tests/test_engine.py``, ``tests/test_graphs.py``,
+``tests/test_solver.py``, ``tests/test_properties.py``,
+``tests/test_strategies.py``, ``tests/test_acceptance.py``,
+``tests/test_bounds.py`` and ``tests/test_records.py`` with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
 survival is expected; any other survivor means a rule the tests do not
@@ -49,7 +49,7 @@ PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
          "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_records.py"]
-TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 68 mutants, 5 min
+TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 70 mutants, 5 min
 
 
 @dataclass(frozen=True)
@@ -154,15 +154,20 @@ MUTANTS = [
     Mutant("burn-start-above-n", "while room < n:", "while room <= n:"),
     Mutant("burn-capacity-smallest-ball", "most = [max(map(", "most = [min(map("),
     Mutant("burn-room-kept", "left = room - most[r]", "left = room"),
-    # the orbit reduction: twins merge by equal open or closed neighbourhoods,
-    # and a permutation merges its cycles only once it maps every edge onto one
+    # the orbit search: twins merge by equal open or closed neighbourhoods;
+    # the search places a node only where its placed neighbours' images are
+    # exactly the new image's placed neighbours, not merely as many, and a
+    # node taken back frees its image
     Mutant("twin-open-key", "(lambda v: adj[v], lambda", "(lambda v: len(adj[v]), lambda",
            module="graphs.py"),
     Mutant("twin-closed-key", "lambda v: frozenset(adj[v]) | {v}", "lambda v: frozenset(adj[v])",
            module="graphs.py"),
-    Mutant("automorphism-any-permutation",
-           "return perm if all(masks[perm[u]] >> perm[v] & 1 for u, v in edges) else None",
-           "return perm", module="graphs.py"),
+    Mutant("automorphism-any-permutation", " and masks[w] & used == seen", "",
+           module="graphs.py"),
+    Mutant("automorphism-count-only", "masks[w] & used == seen",
+           "(masks[w] & used).bit_count() == seen.bit_count()", module="graphs.py"),
+    Mutant("automorphism-image-kept", "used ^= 1 << image[steps[i][0]]", "pass",
+           module="graphs.py"),
     # build_graph stores one object per id, and takes only ints as endpoints
     Mutant("build-graph-fresh-ids", "nbrs[u].add(ids[v])", "nbrs[u].add(v)", module="graphs.py"),
     Mutant("build-graph-no-type-check", "if type(u) is not int or type(v) is not int:",

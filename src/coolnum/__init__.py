@@ -40,9 +40,7 @@ _HOMES = {
         "RoundRecord",
         "SourcePolicy",
         "read_trace",
-        "run_burning",
         "run_cooling",
-        "spread_step",
         "trace_from_json_obj",
         "trace_to_json_obj",
         "validate_sequence",
@@ -57,7 +55,6 @@ _HOMES = {
         "gen_spider",
         "grid_coord",
         "grid_node",
-        "simplicial_cmp",
         "simplicial_key",
         "simplicial_order",
     ), "generators"),
@@ -73,7 +70,6 @@ _HOMES = {
         "bfs_distances",
         "build_graph",
         "diameter",
-        "eccentricity",
     ), "graphs"),
     **dict.fromkeys(("IltGraph", "ilt", "ilt_t"), "ilt"),
     **dict.fromkeys((

@@ -54,10 +54,6 @@ class IsoProfile(NamedTuple):
     n: int
     phi: tuple[int, ...]
 
-    @property
-    def peak(self) -> int:
-        return max(self.phi)
-
     def smoothness_violations(self) -> list[tuple[int, int]]:
         """All ``(x, y)`` with ``phi[x] - y > phi[x + y]``; empty for real graphs."""
         bad = []

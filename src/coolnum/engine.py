@@ -148,9 +148,6 @@ def run_cooling(g: Graph, policy: SourcePolicy) -> CoolingTrace:
     return CoolingTrace(tuple(records))
 
 
-run_burning = run_cooling
-
-
 class Script:
     """Plays one entry per round, then leaves the picks to the engine's fallback.
 
@@ -210,16 +207,6 @@ def validate_sequence(g: Graph, seq: list[int] | tuple[int, ...]) -> CoolingTrac
             f"process ended after round {trace.num_rounds} with sequence elements {leftover} never selected",
         )
     return trace
-
-
-def spread_step(g: Graph, cooled: AbstractSet[int]) -> frozenset[int]:
-    """One pure spread step: ``cooled`` together with all its neighbors."""
-    if not cooled:
-        raise GraphError("spread_step needs a nonempty cooled set")
-    out = set(cooled)
-    for v in cooled:
-        out.update(g.adj[v])
-    return frozenset(out)
 
 
 def trace_to_json_obj(trace: CoolingTrace) -> dict:

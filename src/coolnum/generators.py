@@ -59,12 +59,6 @@ def simplicial_key(coord: GridCoord | tuple[int, int]) -> tuple[int, int]:
     return (row + col, row)
 
 
-def simplicial_cmp(u: GridCoord | tuple[int, int], v: GridCoord | tuple[int, int]) -> int:
-    """Three-way comparison for the simplicial order (negative when u < v)."""
-    ku, kv = simplicial_key(u), simplicial_key(v)
-    return (ku > kv) - (ku < kv)
-
-
 def simplicial_order(n: int) -> list[int]:
     """All node ids of the n x n grid, smallest first in the simplicial order.
 

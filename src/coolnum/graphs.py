@@ -245,14 +245,6 @@ def bfs_distances(g: Graph, v: int) -> list[int]:
     return dist
 
 
-def eccentricity(g: Graph, v: int) -> int:
-    """Greatest distance from ``v`` to any node. Requires a connected graph."""
-    dist = bfs_distances(g, v)
-    if UNREACHABLE in dist:
-        raise DisconnectedGraphError("eccentricity is undefined on a disconnected graph")
-    return max(dist)
-
-
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all node pairs.
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, build_graph, check_int
 
 
 class IltGraph(NamedTuple):
@@ -28,10 +28,6 @@ class IltGraph(NamedTuple):
     parent: tuple[int, ...]
     origin: tuple[int, ...]
     last_clones: tuple[tuple[int, ...], ...]
-
-    def layer(self, base_node: int) -> tuple[int, ...]:
-        """All nodes whose origin is ``base_node``."""
-        return tuple(u for u in range(self.graph.n) if self.origin[u] == base_node)
 
 
 def ilt(g: Graph | IltGraph) -> IltGraph:
@@ -62,6 +58,7 @@ def ilt(g: Graph | IltGraph) -> IltGraph:
 
 def ilt_t(g: Graph, t: int) -> IltGraph:
     """Apply the ILT step ``t`` times (``t >= 1``)."""
+    check_int(t, "ILT step count")
     if t < 1:
         raise GraphError(f"ilt_t needs t >= 1, got {t}")
     out: Graph | IltGraph = g

@@ -20,7 +20,8 @@ the same value.
 The root is probed down from the paper's caps on a whole run,
 ``min(diameter + 1, floor(n/2) + 1)`` rounds and ``min(diameter,
 ceil(n/2))`` sources, until a probe holds; that probe is the value. The
-unpruned search, the reference, probes down from ``n`` instead. The
+unpruned search, the reference, is the same search reading another table
+(below) and probing down from ``n``, so that it tests the caps. The
 witness follows the memo's choices from key ``0`` and expands nothing.
 Each step takes the lowest-id child that keeps the optimum, so the witness
 is the lexicographically first optimal run, for three reasons. ``lo`` only
@@ -83,10 +84,15 @@ vector is ``near[j + 1] | balls[s][j + 1]``, one ``map`` over at most
 ``d + 1`` ints whose entry 0 is the child's key; it depends only on that
 key, so the memo stays sound, and it is formed only when the child passes
 the memo and the table's test on the size of its key. At ``t = 1`` every
-child succeeds, a full boundary too, so the cut starts at ``t = 2``. The
-table, its three reads and both caps are cross-checked against unpruned
-search in the test suite, and the caps also against a solver-free
-enumeration of every run.
+child succeeds, a full boundary too, so the cut starts at ``t = 2``, and
+it needs ``r >= 0``.
+
+The reference reads the table ``n + 1`` at every size. No probe exceeds
+``n``, so neither the key's size nor the spread fails a call, and the cut
+radius ``t - 2 - n`` is negative: the reference cuts nothing, which the
+test suite checks by its cut counters. The table, its three reads and
+both caps are cross-checked against that search in the test suite, and
+the caps also against a solver-free enumeration of every run.
 
 The burning solver iteratively deepens over the round count ``k``: the graph
 burns within ``k`` rounds exactly when balls of radii ``k-1, k-2, ..., 0``
@@ -111,7 +117,7 @@ from functools import cache
 from operator import or_
 from typing import NamedTuple
 
-from .engine import CoolingTrace, Script, run_burning, validate_sequence
+from .engine import CoolingTrace, Script, run_cooling, validate_sequence
 from .graphs import (
     DisconnectedGraphError,
     Graph,
@@ -146,10 +152,11 @@ class SearchStats(NamedTuple):
     empty boundary. ``ecc_cuts`` counts the children the gain table cut for
     all of a state's children at once, by their eccentricity, and
     ``counting_cuts`` the calls it failed, by the size of the key or
-    along its spread; the table is the counting bound where the
-    graph is not biconnected. A call failed along the spread forms the
-    state's vector but visits no child, so it counts there and not in
-    ``expanded``.
+    along its spread; the table is the counting bound where the graph is
+    not biconnected, and ``n + 1`` at every size for the reference
+    (``prune=False``), so both counts are 0 there. A call failed along
+    the spread forms the state's vector but visits no child, so it counts
+    there and not in ``expanded``.
     All four are 0 for burning, whose ``memo_hits`` counts its
     failed-cover cache hits and ``capacity_cuts`` the cover states failed
     because their unused radii cannot hold the uncovered nodes; that one is
@@ -197,25 +204,34 @@ def _gains(n: int, kappa: int, objective: int) -> tuple[int, ...]:
 class _MaxSearch:
     """Shared threshold search for the most rounds or the most sources."""
 
-    def __init__(self, g: Graph, objective: int, prune: bool, deadline: float | None):
+    def __init__(self, g: Graph, objective: int, prune: bool, deadline: float):
+        n = g.n
         self.balls = g.balls
-        self.full = (1 << g.n) - 1
+        self.full = (1 << n) - 1
         self.first = self.full  # the first sources the empty boundary branches on
-        self.top = len(self.balls[0]) - 2  # the diameter; each ball runs one radius past it
+        d = len(self.balls[0]) - 2  # the diameter; each ball runs one radius past it
         # the parent vector and ball of the empty boundary, key 0: nothing lies
         # near it; one entry longer than a ball, so that the first round's
         # vector runs to radius d + 1, as a ball does
-        self.empty = (0,) * (self.top + 3)
+        self.empty = (0,) * (d + 3)
         self.objective = objective
-        self.prune = prune
-        # the floor on a separator: 2 once no single node separates; the
-        # unpruned reference cuts nothing, so it needs no floor
-        self.most = _gains(g.n, 2 if g.biconnected else 1, objective) if prune else ()
+        if prune:
+            # the floor on a separator: 2 once no single node separates; the
+            # paper's diameter and order caps, d + 1 and floor(n/2) + 1 rounds,
+            # d and ceil(n/2) sources, bound every run, so they bound the best
+            # over any set of first sources too
+            self.most = _gains(n, 2 if g.biconnected else 1, objective)
+            self.start = max(1, min(d + objective, (n + 1 + objective) // 2))
+        else:
+            # the reference: no probe exceeds n, so this table cuts nothing;
+            # it probes from n, so that it tests the caps
+            self.most = (n + 1,) * (n + 1)
+            self.start = n
         self.deadline = deadline
         # per post-spread set: the objective is at least lo and at most hi,
         # and choice is the lowest-id child that reaches lo
         self.memo: dict[int, tuple[int, int, int]] = {}
-        self.unknown = (0, g.n, -1)
+        self.unknown = (0, n, -1)
         self.probes = 0
         self.expanded = 0
         self.memo_hits = 0
@@ -239,7 +255,8 @@ class _MaxSearch:
         if not lo < t <= hi:
             self.memo_hits += 1
             return t <= lo
-        if self.prune and t > self.most[key.bit_count()]:
+        most = self.most
+        if t > most[key.bit_count()]:
             self.counting_cuts += 1
             return False
         # a starred display allocates the tuple at its length; tuple(map(...))
@@ -247,19 +264,16 @@ class _MaxSearch:
         # free list it was not taken from, which grows to 2,000 spare tuples
         # per length (about 2 MB of resident memory)
         near = (*map(or_, up[1:], ball[1:]),)
-        if self.prune:
-            # a run that lasts j more rounds has a key holding near[j] by
-            # then, so at most j + most[|near[j]|] remain
-            most = self.most
-            for j in range(1, min(t, len(near))):
-                if t - j > most[near[j].bit_count()]:
-                    self.counting_cuts += 1
-                    self.memo[key] = (lo, t - 1, choice)
-                    return False
+        # a run that lasts j more rounds has a key holding near[j] by then, so
+        # at most j + most[|near[j]|] remain
+        for j in range(1, min(t, len(near))):
+            if t - j > most[near[j].bit_count()]:
+                self.counting_cuts += 1
+                self.memo[key] = (lo, t - 1, choice)
+                return False
         self.expanded += 1
-        if self.deadline is not None and self.expanded % 64 == 1:
-            if time.monotonic() > self.deadline:
-                raise TimeBudgetExceededError("search exceeded its time budget")
+        if self.expanded % 64 == 1 and time.monotonic() > self.deadline:
+            raise TimeBudgetExceededError("search exceeded its time budget")
         full = self.full
         rem = full ^ key if key else self.first
         balls = self.balls
@@ -268,13 +282,13 @@ class _MaxSearch:
         # near[r] | balls[s][r] is full, so when s lies in the r-ball of
         # every node u outside near[r], as hop distance is symmetric: so the
         # AND of those balls over rem is the set of cut children. At t = 1
-        # every child succeeds. The vector drops one radius a level, so a
-        # key k sources deep keeps radii 0..d + 1 - k; the probe starts at
-        # the caps, min(d + 1, ...) rounds and min(d, ...) sources, so r
-        # stays below d - k, inside it
+        # every child succeeds, and the reference's r is negative. The vector
+        # drops one radius a level, so a key k sources deep keeps radii
+        # 0..d + 1 - k; the probe starts at the caps, min(d + 1, ...) rounds
+        # and min(d, ...) sources, so r stays below d - k, inside it
         cut = 0
-        if self.prune and t >= 2:
-            r = t - 1 - self.objective
+        r = t - 1 - most[-1]
+        if t >= 2 and r >= 0:
             far = full ^ near[r]
             cut = rem
             while far and cut:
@@ -303,14 +317,7 @@ class _MaxSearch:
     def solve(self, first: int) -> tuple[int, list[int]]:
         """Value and lowest-id witness over the first sources in the mask ``first``."""
         self.first = first
-        n, d = len(self.balls), self.top
-        # the paper's diameter and order caps, d + 1 and floor(n/2) + 1 rounds,
-        # d and ceil(n/2) sources, bound every run, so they bound the best
-        # over any set of first sources too; the unpruned reference probes
-        # from n instead, so that it tests the caps
-        obj = self.objective
-        start = max(1, min(d + obj, (n + 1 + obj) // 2)) if self.prune else n
-        value = start
+        value = start = self.start
         while not self.at_least(value, self.empty, self.empty):
             value -= 1
         self.probes = start - value + 1
@@ -326,10 +333,10 @@ class _MaxSearch:
 _NO_LIMITS = SearchLimits()
 
 
-def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> tuple[float, float | None]:
+def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> tuple[float, float]:
     """Resolve the node cap, check ``g`` against it and check the time budget;
     the only place limits are read. Returns the start time and the deadline,
-    ``None`` without a budget."""
+    infinite without a budget."""
     limits = limits or _NO_LIMITS
     cap = limits.max_nodes
     if cap is None:
@@ -353,7 +360,7 @@ def _prepare(g: Graph, limits: SearchLimits | None, default_cap: int) -> tuple[f
     if not g.is_connected:
         raise DisconnectedGraphError("solver requires a connected graph")
     start = time.monotonic()
-    return start, None if budget is None else start + budget
+    return start, start + (float("inf") if budget is None else budget)
 
 
 def _max_solve(g: Graph, limits: SearchLimits | None, objective: int, prune: bool,
@@ -452,9 +459,8 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
             cache_hits += 1
             return None
         expanded += 1
-        if deadline is not None and expanded % 1024 == 1:
-            if time.monotonic() > deadline:
-                raise TimeBudgetExceededError("search exceeded its time budget")
+        if expanded % 1024 == 1 and time.monotonic() > deadline:
+            raise TimeBudgetExceededError("search exceeded its time budget")
         # lowest uncovered node u; some remaining ball must cover it, so
         # branching over the (radius, center) pairs reaching it is complete.
         # A center reaches u when it lies in u's ball, in increasing id order
@@ -486,7 +492,7 @@ def burning_number(g: Graph, limits: SearchLimits | None = None) -> SearchResult
     # each round plays its planned center, else the smallest unburned
     # node: a planned center that is already burned has its ball burned
     # anyway, so any other pick keeps the cover
-    trace = run_burning(g, Script((c, *range(n)) for c in planned))
+    trace = run_cooling(g, Script((c, *range(n)) for c in planned))
     if trace.num_rounds != k:
         raise AssertionError(f"cover replay gave {trace.num_rounds} rounds, expected {k}")
     return SearchResult(k, trace, SearchStats(expanded, cache_hits, time.monotonic() - start,

@@ -26,7 +26,7 @@ from .generators import (
     simplicial_order,
     spider_leg_nodes,
 )
-from .graphs import Graph, GraphError, StrategyError, bfs_distances, diameter_sweep
+from .graphs import Graph, GraphError, StrategyError, bfs_distances, check_int, diameter_sweep
 from .ilt import IltGraph, ilt_t
 
 
@@ -205,6 +205,7 @@ def caterpillar_strategy(d: int) -> list[int]:
     Exactly optimal: the run lasts ``d`` rounds on the complete caterpillar
     of length ``d``, with spine node ``i`` cooled in round ``i + 1``.
     """
+    check_int(d, "spine length")
     if d < 3:
         raise GraphError(f"complete caterpillar needs d >= 3, got {d}")
     return [0] + [d + j - 1 for j in range(1, d - 1)]
@@ -237,6 +238,8 @@ def spider_strategy(m: int, r: int) -> SpiderStrategyResult:
     even leg count and equal lengths, which the ``(m, r)`` parameterization
     enforces.
     """
+    check_int(m, "leg pair count")
+    check_int(r, "leg length")
     if m < 1:
         raise StrategyError("spider strategy needs m >= 1 (2m legs, so an even leg count)")
     if r < 1:
@@ -252,6 +255,8 @@ def ilt_path_strategy(n: int, t: int) -> list[int]:
     Picks last-iteration clones of base path nodes ``1, 2, 4, 5, 7, 8, ...``
     (skipping every third), ``ceil(2n/3)`` picks in total.
     """
+    check_int(n, "path length")
+    check_int(t, "ILT step count")
     if n < 3:
         raise GraphError(f"ilt path strategy needs n >= 3, got {n}")
     if t < 1:

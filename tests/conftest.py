@@ -12,7 +12,7 @@ from coolnum.bounds import (
     iso_upper_bound,
 )
 from coolnum.corpus import build_corpus
-from coolnum.engine import Script, run_burning
+from coolnum.engine import Script, run_cooling
 from coolnum.graphs import Graph, GraphTooLargeError, diameter
 from coolnum.solver import burning_number, cooling_number
 
@@ -132,7 +132,7 @@ def unpruned_burning(g: Graph) -> tuple[int, list[int]]:
         assignment = cover(0, tuple(range(k - 1, -1, -1)))
         if assignment is not None:
             planned = [c for _, c in sorted(assignment, key=lambda rc: -rc[0])]
-            return k, list(run_burning(g, Script((c, *range(n)) for c in planned)).sources)
+            return k, list(run_cooling(g, Script((c, *range(n)) for c in planned)).sources)
     raise AssertionError("every connected graph burns within n rounds")
 
 

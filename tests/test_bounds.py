@@ -72,9 +72,6 @@ class TestExactProfile:
             for s in range(1, g.n + 1):
                 assert profile.phi[s] == brute_border_min(g, s)
 
-    def test_peak(self):
-        assert iso_profile_exact(gen_cycle(8)).peak == 2
-
     def test_cap_refusal_mentions_grid_profile(self):
         with pytest.raises(ProfileSizeError, match="grid_iso_profile"):
             iso_profile_exact(gen_path(17))

@@ -10,9 +10,7 @@ from coolnum.engine import (
     InvalidSourceError,
     Script,
     read_trace,
-    run_burning,
     run_cooling,
-    spread_step,
     trace_from_json_obj,
     trace_to_json_obj,
     validate_sequence,
@@ -23,7 +21,6 @@ from coolnum.generators import (
     gen_cycle,
     gen_grid,
     gen_path,
-    grid_node,
 )
 from coolnum.graphs import DisconnectedGraphError, Graph, GraphError, build_graph, diameter
 
@@ -185,31 +182,7 @@ class TestScript:
         assert trace.sources == (3, 0, 6)
 
 
-class TestSpreadStep:
-    def test_cycle_arc(self):
-        assert spread_step(gen_cycle(8), {0}) == frozenset({7, 0, 1})
-
-    def test_fixed_point(self):
-        g = gen_path(4)
-        assert spread_step(g, {0, 1, 2, 3}) == frozenset({0, 1, 2, 3})
-
-    def test_grid_corner(self):
-        g = gen_grid(2)
-        got = spread_step(g, {grid_node((1, 1), 2)})
-        assert got == frozenset({grid_node((1, 1), 2), grid_node((1, 2), 2), grid_node((2, 1), 2)})
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            spread_step(gen_path(3), set())
-
-
 class TestRunBurning:
-    def test_single_node(self):
-        assert run_burning(gen_path(1), defer).num_rounds == 1
-
-    def test_p2(self):
-        assert run_burning(gen_path(2), defer).num_rounds == 2
-
     def test_p9_good_sequence_gives_three(self):
         trace = validate_sequence(gen_path(9), [2, 6, 8])
         assert trace.num_rounds == 3

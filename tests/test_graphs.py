@@ -29,7 +29,6 @@ from coolnum.graphs import (
     build_graph,
     diameter,
     diameter_sweep,
-    eccentricity,
 )
 from coolnum.ilt import ilt_t
 
@@ -190,9 +189,6 @@ class TestDistances:
         with pytest.raises(DisconnectedGraphError):
             diameter(build_graph(4, [(0, 1), (2, 3)]))
 
-    def test_eccentricity_center_of_path(self):
-        assert eccentricity(gen_path(5), 2) == 2
-
     def test_start_node_outside_the_graph_rejected(self):
         g = gen_path(4)
         with pytest.raises(GraphError, match=r"^start node 4 outside 0\.\.3$"):
@@ -201,11 +197,9 @@ class TestDistances:
     @pytest.mark.parametrize("start, shown", [(1.0, "1.0"), (True, "True"), ("1", "'1'")])
     def test_start_node_that_is_not_an_int_rejected(self, start, shown):
         # True equals node 1 and 1.0 equals node 1, but neither is a node id
-        g = gen_path(4)
-        for measure in (bfs_distances, eccentricity):
-            with pytest.raises(GraphError) as err:
-                measure(g, start)
-            assert str(err.value) == f"start node {shown} is not an int"
+        with pytest.raises(GraphError) as err:
+            bfs_distances(gen_path(4), start)
+        assert str(err.value) == f"start node {shown} is not an int"
 
     def test_every_row_matches_networkx(self):
         # random edges alone leave the sparse draws in several components
@@ -222,11 +216,6 @@ class TestDistances:
             for v in range(g.n):
                 near = nx.single_source_shortest_path_length(h, v)
                 assert bfs_distances(g, v) == [near.get(w, UNREACHABLE) for w in range(g.n)], v
-
-    def test_eccentricity_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraphError,
-                           match="^eccentricity is undefined on a disconnected graph$"):
-            eccentricity(build_graph(4, [(0, 1), (2, 3)]), 0)
 
 
 class TestDiameterAgainstAllPairs:

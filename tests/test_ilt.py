@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from coolnum.generators import gen_cycle, gen_path, gen_spider
@@ -55,6 +57,14 @@ def test_t_zero_rejected():
         ilt_t(gen_path(3), 0)
 
 
+@pytest.mark.parametrize("t, shown", [(2.0, "2.0"), (True, "True"), ("2", "'2'")])
+def test_t_that_is_not_an_int_rejected(t, shown):
+    # True equals 1, but it is no step count
+    with pytest.raises(GraphError) as err:
+        ilt_t(gen_path(3), t)
+    assert str(err.value) == f"ILT step count {shown} is not an int"
+
+
 def test_origin_idempotent_under_parent_chasing():
     out = ilt_t(gen_path(4), 3)
     for u in range(out.graph.n):
@@ -79,11 +89,9 @@ def test_last_clones_counts():
 
 
 def test_layers_partition_nodes():
+    # each step doubles every base node's layer, the nodes of that origin
     out = ilt_t(gen_path(4), 2)
-    seen = []
-    for x in range(out.base_n):
-        seen.extend(out.layer(x))
-    assert sorted(seen) == list(range(out.graph.n))
+    assert Counter(out.origin) == dict.fromkeys(range(out.base_n), 4)
 
 
 @pytest.mark.parametrize("g", [b for b in BASES if b.n >= 3])

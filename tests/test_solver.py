@@ -52,7 +52,7 @@ def vertex_connectivity(g):
 
 def all_roots(g, objective):
     """``(value, sources)`` of the search from every first source, no orbit reduction."""
-    search = solver._MaxSearch(g, objective, True, None)
+    search = solver._MaxSearch(g, objective, True, math.inf)
     return search.solve(search.full)
 
 
@@ -172,7 +172,7 @@ class TestCoolingNumber:
             kappa = vertex_connectivity(g)
             kappas.add(kappa)
             for objective in (solver._ROUNDS, solver._SOURCES):
-                assert solver._MaxSearch(g, objective, True, None).most == solver._gains(
+                assert solver._MaxSearch(g, objective, True, math.inf).most == solver._gains(
                     g.n, min(kappa, 2), objective), g.adj
             for solve in (cooling_number, max_sequence_length):
                 a = solve(g)
@@ -459,9 +459,14 @@ class TestPinnedWork:
         res = burning_number(graph, SearchLimits(max_nodes=graph.n))
         assert (res.value, res.witness.sources, res.stats.expanded, res.stats.memo_hits) == pinned
 
-    def test_cuts_are_zero_without_pruning_and_for_burning(self):
-        stats = cooling_number(gen_cycle(9), prune=False).stats
-        assert (stats.ecc_cuts, stats.counting_cuts, stats.capacity_cuts) == (0, 0, 0)
+    def test_cuts_are_zero_without_pruning_and_for_burning(self, corpus):
+        # the reference reads a table that no probe exceeds and whose cut
+        # radius is negative, so it cuts nothing
+        for name, g in corpus:
+            for solve in (cooling_number, max_sequence_length):
+                stats = solve(g, prune=False).stats
+                assert (stats.ecc_cuts, stats.counting_cuts, stats.capacity_cuts) == (0, 0, 0), (
+                    solve.__name__, name)
         stats = cooling_number(gen_cycle(9)).stats
         assert stats.capacity_cuts == 0
         stats = max_sequence_length(gen_grid(4)).stats
@@ -496,7 +501,7 @@ def search_states(g):
     vectors = set()
     for objective in (solver._ROUNDS, solver._SOURCES):
         for prune in (True, False) if g.n <= 10 else (True,):
-            vectors |= carried_vectors(solver._MaxSearch(g, objective, prune, None))
+            vectors |= carried_vectors(solver._MaxSearch(g, objective, prune, math.inf))
     return vectors
 
 
@@ -591,7 +596,7 @@ class TestPostSpreadKey:
     def test_boundaries_with_one_closed_neighbourhood_share_an_entry(self):
         # on P_5, the boundaries {1} and {0, 1} both spread to {0, 1, 2}
         g = gen_path(5)
-        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
+        search = solver._MaxSearch(g, solver._ROUNDS, True, math.inf)
         key = spread_by_bfs(g, 0b00010)
         assert spread_by_bfs(g, 0b00011) == key == 0b00111
         assert search.at_least(2, *state(g, key))
@@ -620,7 +625,7 @@ class TestThresholdSearch:
         # lies within 0 hops of every node, so no cut runs at t = 1
         for objective in (solver._ROUNDS, solver._SOURCES):
             g = gen_path(3)
-            search = solver._MaxSearch(g, objective, True, None)
+            search = solver._MaxSearch(g, objective, True, math.inf)
             assert search.at_least(1, *state(g, 0b011))
             assert not search.at_least(2, *state(g, 0b011))  # by counting, with no memo write
             lo, _, choice = search.memo[0b011]
@@ -641,7 +646,7 @@ class TestThresholdSearch:
         # a later failure above lo narrows hi and leaves the choice that
         # witnesses lo, which the walk reads
         g = gen_path(5)
-        search = solver._MaxSearch(g, solver._ROUNDS, False, None)
+        search = solver._MaxSearch(g, solver._ROUNDS, False, math.inf)
         key = spread_by_bfs(g, 0b00001)
         assert search.at_least(2, *state(g, key))
         lo, _, choice = search.memo[key]
@@ -850,7 +855,7 @@ class TestOrbitReduction:
     def test_fewer_states_than_all_roots(self):
         g = gen_spider(3, 4)
         # CL = 6 stays below min(d + 1, n // 2 + 1) = 7, so no cut ends the first round early
-        search = solver._MaxSearch(g, solver._ROUNDS, True, None)
+        search = solver._MaxSearch(g, solver._ROUNDS, True, math.inf)
         search.solve(search.full)
         assert cooling_number(g).stats.expanded < search.expanded
 
@@ -883,7 +888,7 @@ class TestFirstRound:
                                  (solver._SOURCES, lambda u: (u - 1) // 2 + 1)):
             met = set()
             for name, g in corpus:
-                search = solver._MaxSearch(g, objective, False, None)
+                search = solver._MaxSearch(g, objective, False, math.inf)
                 search.solve(search.full)
                 for key in list(search.memo):
                     value = ladder_value(search, g, key)
@@ -929,7 +934,7 @@ class TestGainTable:
         for g in graphs:
             for objective in (solver._ROUNDS, solver._SOURCES):
                 most = solver._gains(g.n, vertex_connectivity(g), objective)
-                search = solver._MaxSearch(g, objective, False, None)
+                search = solver._MaxSearch(g, objective, False, math.inf)
                 search.solve(search.full)
                 for key in list(search.memo):
                     yield g, objective, most, key, ladder_value(search, g, key)

@@ -16,7 +16,6 @@ from coolnum.generators import (
     gen_path,
     gen_spider,
     grid_coord,
-    simplicial_cmp,
     simplicial_key,
     simplicial_order,
 )
@@ -43,12 +42,11 @@ from coolnum.strategies import (
 
 class TestSimplicialOrder:
     def test_tie_breaks_on_first_coordinate(self):
-        assert simplicial_cmp((1, 2), (2, 1)) < 0
+        assert simplicial_key((1, 2)) < simplicial_key((2, 1))
 
     def test_smaller_sum_first(self):
-        assert simplicial_cmp((1, 1), (3, 3)) < 0
-        assert simplicial_cmp((2, 2), (2, 2)) == 0
-        assert simplicial_cmp((3, 1), (1, 2)) > 0
+        assert simplicial_key((1, 1)) < simplicial_key((3, 3))
+        assert simplicial_key((3, 1)) > simplicial_key((1, 2))
 
     def test_g3_full_order(self):
         cells = sorted(
@@ -359,6 +357,22 @@ class TestIltPathStrategy:
     def test_t_below_one_rejected(self):
         with pytest.raises(GraphError, match="^ilt path strategy needs t >= 1, got 0$"):
             ilt_path_strategy(3, 0)
+
+
+@pytest.mark.parametrize("strategy, args, message", [
+    (ilt_path_strategy, (4.0, 1), "path length 4.0 is not an int"),
+    (ilt_path_strategy, (4, True), "ILT step count True is not an int"),
+    (caterpillar_strategy, (4.0,), "spine length 4.0 is not an int"),
+    (caterpillar_strategy, (True,), "spine length True is not an int"),
+    (spider_strategy, (True, 2), "leg pair count True is not an int"),
+    (spider_strategy, (1, "2"), "leg length '2' is not an int"),
+], ids=["ilt-path-n", "ilt-path-t", "caterpillar-float", "caterpillar-bool", "spider-m",
+        "spider-r"])
+def test_parameters_that_are_not_ints_rejected(strategy, args, message):
+    # a bool equals 0 or 1 and a whole float an int, but neither is a parameter
+    with pytest.raises(GraphError) as err:
+        strategy(*args)
+    assert str(err.value) == message
 
 
 class TestIltLift:

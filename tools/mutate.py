@@ -4,8 +4,9 @@ Each mutant replaces one exact snippet of one module under ``src/coolnum``
 (a single token or operand where possible): the cooling search's key,
 carried vector, gain table with its floor, its objective's end and its
 reading by the key's size, along that vector and for all children at once
-(the cut radius, the cut mask and its count), memo bounds, first probe and
-the witness walk's key and vector, and the burning search's radius order,
+(the cut radius, the cut mask and its count), the unpruned reference's
+table, which must cut nothing, memo bounds, first probe and the witness
+walk's key and vector, and the burning search's radius order,
 capacity bound and first round count in ``solver.py``, the orbit
 search's twin keys, placement test and backtracking, the cut-vertex
 search, ``build_graph``'s endpoint check and shared id objects and the BFS
@@ -49,7 +50,7 @@ PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
          "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_records.py"]
-TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 70 mutants, 5 min
+TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 72 mutants, 5 min
 
 
 @dataclass(frozen=True)
@@ -72,20 +73,26 @@ MUTANTS = [
     # the first round: the empty boundary branches on the listed first
     # sources, and counts every node as uncooled
     Mutant("root-mask-ignored", "rem = full ^ key if key else self.first", "rem = full ^ key"),
-    Mutant("root-count-mask", "self.most[key.bit_count()]",
-           "self.most[(key or self.full ^ self.first).bit_count()]"),
+    Mutant("root-count-mask", "most[key.bit_count()]",
+           "most[(key or self.full ^ self.first).bit_count()]"),
     # the first probe: the order and diameter caps, one lower skips the
     # optimum wherever a cap is met; the unpruned reference starts at n, so
     # that it tests the caps instead of assuming them
-    Mutant("probe-below-cap", "value = start\n", "value = start - 1\n"),
-    Mutant("reference-keeps-caps", "if self.prune else n", "if True else n"),
+    Mutant("probe-below-cap", "value = start = self.start\n", "value = start = self.start - 1\n"),
+    Mutant("reference-keeps-caps", "self.start = n\n",
+           "self.start = max(1, min(d + objective, (n + 1 + objective) // 2))\n"),
+    # the reference's table, n + 1 at every size, cuts nothing: one less
+    # fails the probe at n by the key's size, and a cut mask run at its
+    # negative radius reads the vector from the far end
+    Mutant("reference-table-cuts", "(n + 1,) * (n + 1)", "(n - 1,) * (n + 1)"),
+    Mutant("reference-cut-mask", "if t >= 2 and r >= 0:", "if t >= 2:"),
     # the gain table: a child's key grows by min(kappa, n - c) past its
     # boundary, a full key gains the objective's number, one round and no
     # source, and a call fails only above the table
     Mutant("table-kappa-plus-one", "most[c + min(kappa, n - c)]\n",
            "most[c + min(kappa + 1, n - c)]\n"),
     Mutant("table-sources-end", "[1] * n + [objective]", "[1] * n + [1]"),
-    Mutant("table-threshold", "t > self.most[", "t >= self.most["),
+    Mutant("table-threshold", "if t > most[", "if t >= most["),
     # the table read along the carried vector: a run that lasts j more rounds
     # holds near[j], not near[j + 1], by then, a call fails only above
     # j + most[|near[j]|], and the j rounds it takes count in full (the
@@ -96,7 +103,7 @@ MUTANTS = [
     Mutant("spread-threshold", "t - j > most[near[j]", "t - j >= most[near[j]"),
     Mutant("spread-need-low", "t - j > most[near[j]", "t - j - 1 > most[near[j]"),
     Mutant("spread-failure-not-stored",
-           "self.counting_cuts += 1\n                    self.memo[key] = (lo, t - 1, choice)",
+           "self.counting_cuts += 1\n                self.memo[key] = (lo, t - 1, choice)",
            "self.counting_cuts += 1"),
     # the floor the table reads, 2 on a biconnected graph: a root is a cut
     # vertex at two tree children, a node below it when a child's subtree
@@ -128,11 +135,13 @@ MUTANTS = [
     Mutant("ecc-and-first-far-only", "while far and cut:", "if far and cut:"),
     Mutant("ecc-cut-kept", "rem ^= cut\n", "rem ^= 0\n"),
     Mutant("ecc-count-success", "(cut & (low - 1)).bit_count()", "(cut & low).bit_count()"),
-    Mutant("ecc-radius-low", "r = t - 1 - self.objective", "r = t - 2 - self.objective"),
-    Mutant("ecc-radius-high", "r = t - 1 - self.objective", "r = t - self.objective"),
-    Mutant("ecc-radius-sources-low", "r = t - 1 - self.objective", "r = t - 2"),
-    Mutant("ecc-radius-rounds-high", "r = t - 1 - self.objective", "r = t - 1"),
-    Mutant("ecc-from-t1", "self.prune and t >= 2", "self.prune and t >= 1"),
+    Mutant("ecc-radius-low", "r = t - 1 - most[-1]", "r = t - 2 - most[-1]"),
+    Mutant("ecc-radius-high", "r = t - 1 - most[-1]", "r = t - most[-1]"),
+    Mutant("ecc-radius-sources-low", "r = t - 1 - most[-1]",
+           "r = t - 1 - most[-1] - (most[-1] == _SOURCES)"),
+    Mutant("ecc-radius-rounds-high", "r = t - 1 - most[-1]",
+           "r = t - 1 - most[-1] + (most[-1] == _ROUNDS)"),
+    Mutant("ecc-from-t1", "if t >= 2 and r >= 0:", "if t >= 1 and r >= 0:"),
     # the memo's bounds and the choice that witnesses lo
     Mutant("memo-success-swapped", "self.memo[key] = (t, hi, i)", "self.memo[key] = (hi, t, i)"),
     Mutant("memo-failure-swapped", "cut.bit_count()\n        self.memo[key] = (lo, t - 1, choice)",

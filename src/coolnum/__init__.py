@@ -1,26 +1,26 @@
 """Cooling and burning spread processes on graphs.
 
 Library layout: :mod:`coolnum.graphs` (graph type, metrics and the errors
-the CLI maps to exit codes), :mod:`coolnum.generators` (families),
-:mod:`coolnum.ilt` (iterated local transitivity), :mod:`coolnum.graph_io`
-(files), :mod:`coolnum.engine` (process semantics), :mod:`coolnum.solver`
-(exact values), :mod:`coolnum.bounds` (isoperimetric machinery),
-:mod:`coolnum.strategies` (constructive strategies), :mod:`coolnum.corpus`
-(the fixed check graphs), :mod:`coolnum.verify` (one check suite per paper
-claim), :mod:`coolnum.cli` (command line).
+the CLI maps to exit codes), :mod:`coolnum.generators` (families, their node
+numbering, and the iterated local transitivity (ILT) step with its lineage
+maps), :mod:`coolnum.graph_io` (files), :mod:`coolnum.engine` (process
+semantics), :mod:`coolnum.solver` (exact values), :mod:`coolnum.bounds`
+(isoperimetric machinery), :mod:`coolnum.strategies` (constructive
+strategies), :mod:`coolnum.corpus` (the fixed check graphs),
+:mod:`coolnum.verify` (one check suite per paper claim), :mod:`coolnum.cli`
+(command line).
 
 ``import coolnum`` loads none of them. Each public name is imported from its
 home module on first use (PEP 562), so a caller, and each CLI process, pays
 only for the layers it touches.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 __version__ = "0.1.0"
 
-# public name -> the module that defines it
+# public name -> the module that defines it; no module may share a public
+# name, as the import system binds each submodule it loads on the package
 _HOMES = {
     **dict.fromkeys((
         "BoundsReport",
@@ -48,6 +48,7 @@ _HOMES = {
     ), "engine"),
     **dict.fromkeys((
         "GridCoord",
+        "IltGraph",
         "gen_complete_caterpillar",
         "gen_cycle",
         "gen_grid",
@@ -55,6 +56,8 @@ _HOMES = {
         "gen_spider",
         "grid_coord",
         "grid_node",
+        "ilt",
+        "ilt_t",
         "simplicial_key",
         "simplicial_order",
     ), "generators"),
@@ -71,7 +74,6 @@ _HOMES = {
         "build_graph",
         "diameter",
     ), "graphs"),
-    **dict.fromkeys(("IltGraph", "ilt", "ilt_t"), "ilt"),
     **dict.fromkeys((
         "SearchLimits",
         "SearchResult",
@@ -109,13 +111,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Namespace(ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # the import system binds each submodule it loads on the package; the
-        # submodule ilt must not shadow the public function ilt
-        if not (isinstance(value, ModuleType) and name in _HOMES):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Namespace

@@ -24,6 +24,7 @@ from .generators import (
     gen_grid,
     gen_path,
     gen_spider,
+    ilt_t,
 )
 from .graphs import (
     DisconnectedGraphError,
@@ -58,15 +59,13 @@ def _parse_base(spec: str):
     except ValueError:
         raise GraphError(f"base spec {spec!r} must look like family:param (e.g. path:6)") from None
     build, flags = FAMILIES.get(family, (None, ()))
-    if len(flags) != 1:
+    if build is None:
         raise GraphError(f"unknown base family {family!r}")
+    if len(flags) != 1:
+        bases = ", ".join(name for name, (_, takes) in FAMILIES.items() if len(takes) == 1)
+        raise GraphError(f"base family {family!r} takes {len(flags)} parameters; "
+                         f"an ilt base takes one: {bases}")
     return build(n)
-
-
-def _gen_ilt(base: str, t: int):
-    from .ilt import ilt_t
-
-    return ilt_t(_parse_base(base), t).graph
 
 
 # gen family -> (builder, the flags it takes in argument order); the families
@@ -77,7 +76,7 @@ FAMILIES = {
     "grid": (gen_grid, ("n",)),
     "caterpillar": (gen_complete_caterpillar, ("d",)),
     "spider": (gen_spider, ("legs", "r")),
-    "ilt": (_gen_ilt, ("base", "t")),
+    "ilt": (lambda base, t: ilt_t(_parse_base(base), t).graph, ("base", "t")),
 }
 
 

@@ -22,7 +22,7 @@ from .graphs import Graph, build_graph
 
 MAX_CORPUS_NODES = 12
 DEFAULT_RANDOM_COUNT = 170
-DEFAULT_SEED = 20240803
+SEED = 20240803
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edge_prob: float) -> Graph:
@@ -54,11 +54,10 @@ def _family_members() -> Iterator[tuple[str, Graph]]:
                 yield f"spider-{legs}x{r}", gen_spider(legs, r)
 
 
-def build_corpus(random_count: int = DEFAULT_RANDOM_COUNT,
-                 seed: int = DEFAULT_SEED) -> list[tuple[str, Graph]]:
+def build_corpus(random_count: int = DEFAULT_RANDOM_COUNT) -> list[tuple[str, Graph]]:
     """Named corpus graphs; all connected, all within 12 nodes."""
     out = list(_family_members())
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     for i in range(random_count):
         n = rng.randrange(4, MAX_CORPUS_NODES + 1)
         p = rng.choice((0.05, 0.1, 0.2, 0.35, 0.5))

@@ -18,16 +18,17 @@ from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .engine import CoolingTrace, Script, run_cooling, validate_sequence
 from .generators import (
+    IltGraph,
     gen_complete_caterpillar,
     gen_cycle,
     gen_grid,
     gen_path,
     gen_spider,
+    ilt_t,
     simplicial_order,
     spider_leg_nodes,
 )
 from .graphs import Graph, GraphError, StrategyError, bfs_distances, check_int, diameter_sweep
-from .ilt import IltGraph, ilt_t
 
 
 def _ceil_log2(m: int) -> int:

@@ -24,9 +24,8 @@ from typing import TYPE_CHECKING, NamedTuple
 # only what reference-traces runs; every other suite and helper imports the
 # solver, bounds, strategies and corpus layers it reads in its own body
 from .engine import validate_sequence
-from .generators import gen_complete_caterpillar, gen_grid, gen_path, gen_spider
+from .generators import gen_complete_caterpillar, gen_grid, gen_path, gen_spider, ilt, ilt_t
 from .graphs import Graph, build_graph, diameter
-from .ilt import ilt, ilt_t
 
 if TYPE_CHECKING:
     from .solver import SearchLimits, SearchResult

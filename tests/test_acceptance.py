@@ -16,8 +16,7 @@ from __future__ import annotations
 import time
 
 from coolnum import verify
-from coolnum.generators import gen_complete_caterpillar, gen_grid, gen_spider
-from coolnum.ilt import ilt
+from coolnum.generators import gen_complete_caterpillar, gen_grid, gen_spider, ilt
 from coolnum.solver import SearchLimits, cooling_number
 from coolnum.strategies import closed_form, grid_cl_window
 

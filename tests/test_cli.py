@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -15,7 +16,7 @@ from coolnum import cli, verify
 from coolnum.cli import main
 from coolnum.engine import read_trace, validate_sequence
 from coolnum.graph_io import read_graph, write_graph
-from coolnum.generators import gen_cycle, gen_grid, gen_path
+from coolnum.generators import gen_complete_caterpillar, gen_cycle, gen_grid, gen_path, ilt_t
 
 
 def run_cli(*argv):
@@ -77,6 +78,28 @@ class TestGen:
                                  "--out", str(out_file))
         assert (code, out, err) == (1, "", "unknown base family 'foo'\n")
         assert not out_file.exists()
+
+    @pytest.mark.parametrize("family", ["spider", "ilt"])
+    def test_two_parameter_base_family_is_named(self, tmp_path, family):
+        out_file = tmp_path / "g.json"
+        code, out, err = run_cli("gen", "ilt", "--base", f"{family}:3", "--t", "1",
+                                 "--out", str(out_file))
+        assert (code, out) == (1, "")
+        assert err == (f"base family {family!r} takes 2 parameters; "
+                       "an ilt base takes one: path, cycle, grid, caterpillar\n")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("family, build", [
+        ("path", gen_path), ("cycle", gen_cycle), ("grid", gen_grid),
+        ("caterpillar", gen_complete_caterpillar),
+    ])
+    def test_ilt_writes_the_library_graph_on_every_base(self, tmp_path, family, build):
+        out_file, want = tmp_path / "g.json", tmp_path / "want.json"
+        code, _, _ = run_cli("gen", "ilt", "--base", f"{family}:4", "--t", "1",
+                             "--out", str(out_file))
+        write_graph(ilt_t(build(4), 1).graph, want)
+        assert code == 0
+        assert out_file.read_bytes() == want.read_bytes()
 
     def test_grid_dot_places_each_cell(self, tmp_path):
         dot = tmp_path / "g.dot"
@@ -466,17 +489,16 @@ class TestImportFootprint:
     @pytest.mark.parametrize("argv, modules", [
         ("--help", PARSE),
         ("gen path --n 4 --out g.json", PARSE | {"graph_io"}),
-        ("gen ilt --base path:4 --t 1 --out g.json", PARSE | {"graph_io", "ilt"}),
+        ("gen ilt --base path:4 --t 1 --out g.json", PARSE | {"graph_io"}),
         ("exact --in p5.json", SOLVE),
         ("seqlen --in p5.json", SOLVE),
         ("burn --in p5.json", SOLVE),
         ("bounds --in p5.json", SOLVE | {"bounds"}),
-        ("strategy path-diameter --in p5.json", PARSE | {"graph_io", "engine", "ilt", "strategies"}),
+        ("strategy path-diameter --in p5.json", PARSE | {"graph_io", "engine", "strategies"}),
         # the grid window reads the isoperimetric bound, which needs no search
-        ("strategy grid-simplicial --n 5", PARSE | {"graph_io", "engine", "ilt", "strategies",
-                                                    "bounds"}),
-        ("verify path-formula", PARSE | {"engine", "solver", "ilt", "strategies", "verify"}),
-        ("verify reference-traces", PARSE | {"engine", "ilt", "verify"}),
+        ("strategy grid-simplicial --n 5", PARSE | {"graph_io", "engine", "strategies", "bounds"}),
+        ("verify path-formula", PARSE | {"engine", "solver", "strategies", "verify"}),
+        ("verify reference-traces", PARSE | {"engine", "verify"}),
     ])
     def test_subcommand_loads_only_its_layers(self, tmp_path, argv, modules):
         write_graph(gen_path(5), tmp_path / "p5.json")
@@ -508,10 +530,18 @@ class TestImportFootprint:
         for name, home in coolnum._HOMES.items():
             assert getattr(coolnum, name) is getattr(import_module(f"coolnum.{home}"), name), name
 
+    def test_no_submodule_shares_a_public_name(self):
+        # the import system binds each submodule it loads on the package, so
+        # a submodule named like a public name would replace that name
+        clashes = {m.name for m in pkgutil.iter_modules(coolnum.__path__)} & set(coolnum._HOMES)
+        assert not clashes
+
     def test_ilt_names_the_function_after_its_module_loads(self):
-        code = ("import coolnum.ilt, coolnum.strategies\n"  # the import system binds submodules
-                "from coolnum import ilt\n"
-                "print(ilt is coolnum.ilt is coolnum.ilt_t.__globals__['ilt'])")
+        code = ("import importlib, pkgutil, coolnum\n"
+                "for m in pkgutil.iter_modules(coolnum.__path__):\n"
+                "    importlib.import_module(f'coolnum.{m.name}')\n"
+                "print(all(getattr(coolnum, name) is getattr(coolnum.generators, name)\n"
+                "          for name in ('ilt', 'ilt_t', 'IltGraph')))")
         assert fresh_python(code) == "True\n"
 
     def test_unknown_name_raises_attribute_error(self):

@@ -18,6 +18,7 @@ from coolnum.generators import (
     gen_spider,
     grid_coord,
     grid_node,
+    ilt_t,
     simplicial_order,
 )
 from coolnum.graph_io import read_graph, write_graph
@@ -30,7 +31,6 @@ from coolnum.graphs import (
     diameter,
     diameter_sweep,
 )
-from coolnum.ilt import ilt_t
 
 
 def all_pairs_bfs(g):

@@ -4,9 +4,8 @@ from collections import Counter
 
 import pytest
 
-from coolnum.generators import gen_cycle, gen_path, gen_spider
+from coolnum.generators import gen_cycle, gen_path, gen_spider, ilt, ilt_t
 from coolnum.graphs import GraphError, bfs_distances, build_graph, diameter
-from coolnum.ilt import ilt, ilt_t
 
 BASES = [
     gen_path(1),

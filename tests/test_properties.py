@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from coolnum.bounds import iso_profile_exact, iso_upper_bound
 from coolnum.engine import run_cooling, validate_sequence
+from coolnum.generators import ilt
 from coolnum.graphs import bfs_distances, build_graph, diameter, diameter_sweep
-from coolnum.ilt import ilt
 from coolnum.solver import burning_number, cooling_number, max_sequence_length
 
 

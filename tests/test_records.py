@@ -13,9 +13,8 @@ import pytest
 
 from coolnum.bounds import IsoProfile, bounds_report
 from coolnum.engine import CoolingTrace, RoundRecord, validate_sequence
-from coolnum.generators import gen_cycle, gen_path
+from coolnum.generators import gen_cycle, gen_path, ilt
 from coolnum.graphs import build_graph, known_connected
-from coolnum.ilt import ilt
 from coolnum.solver import SearchLimits, SearchStats, cooling_number
 from coolnum.strategies import FORMS, ClosedForm, closed_form, spider_strategy
 from coolnum.verify import CheckRow, SuiteReport

@@ -16,12 +16,12 @@ from coolnum.generators import (
     gen_path,
     gen_spider,
     grid_coord,
+    ilt_t,
     simplicial_key,
     simplicial_order,
 )
 from coolnum.corpus import random_connected_graph
 from coolnum.graphs import GraphError, bfs_distances, build_graph, diameter
-from coolnum.ilt import ilt_t
 from coolnum.solver import SearchLimits, cooling_number, max_sequence_length
 from coolnum.verify import SPIDER_SHAPES
 from coolnum.strategies import (

@@ -11,16 +11,17 @@ capacity bound and first round count in ``solver.py``, the orbit
 search's twin keys, placement test and backtracking, the cut-vertex
 search, ``build_graph``'s endpoint check and shared id objects and the BFS
 level step in ``graphs.py``, the grid's index arithmetic and shared id
-objects in ``generators.py``, the scripted pick and fallback, the seen
-flags of the round engine and the trace loader's "cooled once" check in
-``engine.py``, the bounds report's diameter, profile readout and
-recurrence step in ``bounds.py``, and the value semantics of ``Graph`` and
-``verify.CheckRow``. It does so in a throwaway copy of the repo, then runs
+objects and the ILT step's clone edges and origin map in ``generators.py``,
+the scripted pick and fallback, the seen flags of the round engine and the
+trace loader's "cooled once" check in ``engine.py``, the bounds report's
+diameter, profile readout and recurrence step in ``bounds.py``, and the
+value semantics of ``Graph`` and ``verify.CheckRow``. It does so in a throwaway copy of the repo, then runs
 ``tests/test_atlas.py`` (first: it kills about half the mutants in under
 2 s), ``tests/test_engine.py``, ``tests/test_graphs.py``,
 ``tests/test_solver.py``, ``tests/test_properties.py``,
 ``tests/test_strategies.py``, ``tests/test_acceptance.py``,
-``tests/test_bounds.py`` and ``tests/test_records.py`` with ``-x``.
+``tests/test_bounds.py``, ``tests/test_records.py`` and ``tests/test_ilt.py``
+with ``-x``.
 A mutant is killed when that run fails and survives when it passes. Mutants
 marked equivalent change no value, witness or work counter, so their
 survival is expected; any other survivor means a rule the tests do not
@@ -49,8 +50,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join("src", "coolnum")
 TESTS = ["tests/test_atlas.py", "tests/test_engine.py", "tests/test_graphs.py",
          "tests/test_solver.py", "tests/test_properties.py", "tests/test_strategies.py",
-         "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_records.py"]
-TIMEOUT_S = 300  # the nine files take about 15 s on a 2-core machine; the 72 mutants, 5 min
+         "tests/test_acceptance.py", "tests/test_bounds.py", "tests/test_records.py",
+         "tests/test_ilt.py"]
+TIMEOUT_S = 300  # the ten files take about 15 s on a 2-core machine; the 74 mutants, 5 min
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,11 @@ MUTANTS = [
            module="generators.py"),
     Mutant("grid-fresh-ids", "ids[a:b - 1]", "range(a, b - 1)", module="generators.py"),
     Mutant("diagonal-step", "step = n - 1", "step = n", module="generators.py"),
+    # an ILT clone is joined to its original, and its origin is its
+    # original's origin, not its original (they differ from the second step)
+    Mutant("ilt-clone-off-original", "edges.append((x, m + x))", "pass", module="generators.py"),
+    Mutant("ilt-clone-origin", "origin = prev_origin + prev_origin",
+           "origin = prev_origin + tuple(range(m))", module="generators.py"),
     # a scripted pick and the engine's fallback skip the cooled nodes, not
     # the uncooled ones, and an entry whose candidates are all cooled is
     # handed to the engine to reject rather than passed to the fallback
